@@ -7,7 +7,7 @@
 //! the profile (the MCKP instance), the service solves it off-thread, and
 //! the daemon blocks only for the round trip.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use ts_solver::mckp::{MckpProblem, MckpSolution};
@@ -32,7 +32,7 @@ pub struct RemoteSolution {
 /// A solver running on its own thread, reachable over channels.
 #[derive(Debug)]
 pub struct SolverService {
-    tx: Sender<Request>,
+    tx: SyncSender<Request>,
     rx: Receiver<(Result<MckpSolution, SolverError>, f64)>,
     handle: Option<JoinHandle<()>>,
 }
@@ -40,8 +40,8 @@ pub struct SolverService {
 impl SolverService {
     /// Spawn the service thread.
     pub fn spawn() -> SolverService {
-        let (req_tx, req_rx) = bounded::<Request>(1);
-        let (resp_tx, resp_rx) = bounded(1);
+        let (req_tx, req_rx) = sync_channel::<Request>(1);
+        let (resp_tx, resp_rx) = sync_channel(1);
         // ts-lint: allow(thread-hygiene) -- the solver service IS a dedicated thread; it carries no simulation state and replies over a rendezvous channel
         let handle = std::thread::Builder::new()
             .name("ts-solver-service".into())

@@ -7,7 +7,7 @@
 //! daemon use to reproduce those failure modes on demand:
 //!
 //! * [`FaultSite`] — the named injection points (zswap store, zpool
-//!   allocation, phase-A migration copy, tier-capacity pressure spikes).
+//!   allocation, planned migration copy, tier-capacity pressure spikes).
 //! * [`FaultPlan`] — per-site trip probabilities plus a seed. Every
 //!   trip decision is a pure function of `(seed, site, key)`, so a run
 //!   is bit-identical for a fixed seed regardless of scheduling, worker
@@ -41,8 +41,8 @@ pub enum FaultSite {
     /// zpool allocation: the destination pool reports capacity
     /// exhaustion (`PoolError::OutOfMemory`).
     PoolAlloc,
-    /// `TieredSystem::execute_plan` phase-A copy: a planned page
-    /// migration aborts before the copy happens.
+    /// `TieredSystem::execute_plan` copy: a planned page migration
+    /// aborts before the copy happens (drawn while the plan is classified).
     MigrationCopy,
     /// A tier-capacity pressure spike: for one profile window the tier
     /// must be treated as full and accepts no migrations.
@@ -90,8 +90,8 @@ pub enum TierError {
     /// The compressor failed on the page; it stays uncompressed in its
     /// source tier.
     CompressFailed,
-    /// A planned migration was aborted before the phase-A copy; the
-    /// page keeps its source placement.
+    /// A planned migration was aborted before its copy; the page keeps
+    /// its source placement.
     MigrationAborted,
     /// The destination tier is under a capacity-pressure spike and
     /// accepts no migrations this window.
@@ -127,7 +127,7 @@ impl std::error::Error for TierError {}
 ///
 /// `trips` is a pure function of `(seed, site, key)`: callers key each
 /// decision by a stable, scheduling-independent counter (a serial
-/// nonce, or a per-tier/per-pool store count on single-writer paths),
+/// nonce, or a per-tier/per-pool store count advanced only by serial inserts),
 /// which makes whole runs bit-identical for a fixed seed at any
 /// `migration_workers` count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -3,7 +3,7 @@
 use crate::buddy::{BuddyAllocator, BuddyError};
 use crate::media::{MediaKind, MediaSpec};
 use crate::{FrameNumber, PhysFrame, PAGE_SIZE};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a NUMA node within a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,9 +50,16 @@ impl NumaNode {
         self.capacity_bytes
     }
 
+    /// The node's allocator. A poisoned lock means another thread already
+    /// panicked while holding it; that panic is what surfaces, so keep
+    /// going with the data as-is rather than panicking again here.
+    fn buddy(&self) -> MutexGuard<'_, BuddyAllocator> {
+        self.buddy.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Bytes currently free.
     pub fn free_bytes(&self) -> u64 {
-        self.buddy.lock().free_frames() * PAGE_SIZE as u64
+        self.buddy().free_frames() * PAGE_SIZE as u64
     }
 
     /// Bytes currently allocated.
@@ -74,7 +81,7 @@ impl NumaNode {
     ///
     /// [`BuddyError::OutOfMemory`] when the node is full.
     pub fn alloc_frame(&self) -> Result<FrameNumber, BuddyError> {
-        self.buddy.lock().alloc(0)
+        self.buddy().alloc(0)
     }
 
     /// Allocate `2^order` contiguous frames.
@@ -83,7 +90,7 @@ impl NumaNode {
     ///
     /// See [`BuddyAllocator::alloc`].
     pub fn alloc_block(&self, order: u32) -> Result<FrameNumber, BuddyError> {
-        self.buddy.lock().alloc(order)
+        self.buddy().alloc(order)
     }
 
     /// Free a frame or block previously allocated from this node.
@@ -92,7 +99,7 @@ impl NumaNode {
     ///
     /// [`BuddyError::InvalidFree`] on double free or unknown frame.
     pub fn free_frame(&self, frame: FrameNumber) -> Result<(), BuddyError> {
-        self.buddy.lock().free(frame)
+        self.buddy().free(frame)
     }
 }
 

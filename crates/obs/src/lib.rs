@@ -13,10 +13,6 @@
 //! * Spans record **two** clocks: wall-clock nanoseconds (host-dependent,
 //!   exported only in the JSONL trace) and *modeled* nanoseconds (the
 //!   simulator's deterministic cost accounting, exported everywhere).
-//! * [`WorkerSink`] — a thread-scoped sink the parallel migration workers
-//!   fill independently; the caller merges sinks **by batch identity**
-//!   (destination-tier order), never by completion order, so the merged
-//!   registry is identical at any worker count.
 //!
 //! The snapshot serializer ([`Registry::snapshot_json`]) deliberately
 //! excludes every wall-clock quantity; [`Registry::trace_jsonl`] includes
@@ -147,50 +143,6 @@ impl SpanTimer {
     }
 }
 
-/// Thread-scoped sink for one parallel migration batch. Workers fill one
-/// per batch with plain field bumps (no locks, no allocation on the
-/// page-copy path); the caller folds sinks into the [`Registry`] in batch
-/// order, which makes the merged state independent of worker scheduling.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerSink {
-    /// Jobs attempted.
-    pub jobs: u64,
-    /// Jobs that produced a compressed destination copy.
-    pub stored: u64,
-    /// Jobs that decompressed a source toward a byte destination.
-    pub faulted: u64,
-    /// Jobs that failed (rejects, injected faults, pool exhaustion).
-    pub failed: u64,
-    /// Compressed payload bytes written to the destination tier.
-    pub bytes_out: u64,
-    /// Wall-clock ns the batch's worker spent in phase A (trace only).
-    pub wall_ns: u64,
-    /// Distribution of per-page compressed sizes.
-    pub compressed_len: Histogram,
-}
-
-impl WorkerSink {
-    /// Record a job that stored `bytes` compressed bytes at the destination.
-    pub fn record_store(&mut self, bytes: u64) {
-        self.jobs += 1;
-        self.stored += 1;
-        self.bytes_out += bytes;
-        self.compressed_len.record(bytes as f64);
-    }
-
-    /// Record a decompress-toward-byte-tier job.
-    pub fn record_fault(&mut self) {
-        self.jobs += 1;
-        self.faulted += 1;
-    }
-
-    /// Record a failed job.
-    pub fn record_failure(&mut self) {
-        self.jobs += 1;
-        self.failed += 1;
-    }
-}
-
 /// Observability configuration carried by `DaemonConfig::obs`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -309,8 +261,8 @@ impl Registry {
         self.span_raw(name, scope, timer.elapsed_ns(), modeled_ns, fields);
     }
 
-    /// Record a span with an explicit wall-clock value (used by worker
-    /// sinks whose timers ran on another thread).
+    /// Record a span with an explicit wall-clock value (for spans whose
+    /// wall time was accumulated piecewise, e.g. per migration batch).
     pub fn span_raw(
         &mut self,
         name: &str,
@@ -347,27 +299,6 @@ impl Registry {
     /// All recorded spans, in record order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
-    }
-
-    // ---- worker sinks --------------------------------------------------
-
-    /// Fold a worker's sink into the registry under `scope` (the batch's
-    /// destination tier). Callers must invoke this in batch-identity order.
-    pub fn merge_sink(&mut self, scope: &str, sink: &WorkerSink) {
-        if sink.jobs == 0 {
-            return;
-        }
-        self.add(&format!("migrate.{scope}.jobs"), sink.jobs);
-        self.add(&format!("migrate.{scope}.stored"), sink.stored);
-        self.add(&format!("migrate.{scope}.faulted"), sink.faulted);
-        self.add(&format!("migrate.{scope}.failed"), sink.failed);
-        self.add(&format!("migrate.{scope}.bytes_out"), sink.bytes_out);
-        if sink.compressed_len.count > 0 {
-            self.histograms
-                .entry(format!("migrate.{scope}.compressed_len"))
-                .or_default()
-                .merge(&sink.compressed_len);
-        }
     }
 
     // ---- serialization -------------------------------------------------
@@ -608,57 +539,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count, 5);
-    }
-
-    /// The deterministic-merge property the migration engine relies on:
-    /// sinks filled by any number of "threads" produce an identical
-    /// registry as long as they are merged in batch-identity order.
-    #[test]
-    fn sink_merge_deterministic_across_thread_counts() {
-        // Batches (by destination) with fixed job outcomes.
-        let batch_jobs: Vec<(&str, Vec<u64>)> = vec![
-            ("CT0", vec![100, 250, 90]),
-            ("CT1", vec![4096, 10]),
-            ("BT0", vec![]),
-            ("CT2", vec![77]),
-        ];
-        let fill = |(scope, sizes): &(&str, Vec<u64>)| {
-            let mut s = WorkerSink::default();
-            for &b in sizes {
-                if b >= 4096 {
-                    s.record_failure();
-                } else {
-                    s.record_store(b);
-                }
-            }
-            (scope.to_string(), s)
-        };
-        // "workers = k": batches processed round-robin by k threads, each
-        // finishing in arbitrary order; merge always walks batch index 0..n.
-        let reference: Vec<_> = batch_jobs.iter().map(fill).collect();
-        for workers in [1usize, 2, 3, 8] {
-            // Simulate out-of-order completion: reverse per-worker shards.
-            let mut slots: Vec<Option<(String, WorkerSink)>> = vec![None; batch_jobs.len()];
-            for w in 0..workers {
-                let mut own: Vec<usize> =
-                    (0..batch_jobs.len()).filter(|i| i % workers == w).collect();
-                own.reverse(); // completion order != batch order
-                for i in own {
-                    slots[i] = Some(fill(&batch_jobs[i]));
-                }
-            }
-            let mut r = Registry::new();
-            for slot in slots.iter() {
-                let (scope, sink) = slot.as_ref().unwrap();
-                r.merge_sink(scope, sink);
-            }
-            let mut want = Registry::new();
-            for (scope, sink) in &reference {
-                want.merge_sink(scope, sink);
-            }
-            assert_eq!(r, want, "workers={workers}");
-            assert_eq!(r.snapshot_json(), want.snapshot_json());
-        }
     }
 
     #[test]

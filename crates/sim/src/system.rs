@@ -11,10 +11,13 @@ use crate::{Fidelity, Placement, SimConfig, SimError, SimResult};
 use std::sync::Arc;
 use ts_faults::{FaultCounters, FaultPlan, FaultSite, TierError};
 use ts_mem::{Machine, MediaKind, MediaSpec, PAGE_SIZE};
-use ts_obs::{Registry, SpanTimer, WorkerSink};
+use ts_obs::{Registry, SpanTimer};
 use ts_workloads::{Access, Workload};
 use ts_zpool::{PoolError, PoolKind};
-use ts_zswap::{StoredPage, SwapDevice, TierId, ZswapError, ZswapSubsystem};
+use ts_zswap::{
+    Compressed, MigrationCopy, MigrationOutcome, StoredPage, SwapDevice, TierId, ZswapError,
+    ZswapResult, ZswapSubsystem,
+};
 
 /// Where a page currently lives.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,10 +73,10 @@ pub struct MigrationReport {
     /// Plan entries (regions) with at least one page moved.
     /// [`TieredSystem::migrate_region`] reports 0 or 1.
     pub regions_moved: u64,
-    /// Worker threads the parallel engine was configured with
+    /// Worker threads the migration engine was configured with
     /// (0 for the serial per-region path).
     pub workers: u32,
-    /// Destination batches the parallel engine executed
+    /// Destination batches the migration engine executed
     /// (0 for the serial per-region path).
     pub batches: u32,
     /// Modeled worker idle time: sum over batches of (critical-path ns −
@@ -93,66 +96,143 @@ pub struct PlannedMove {
     pub dest: Placement,
 }
 
-/// Parallel-phase work for one page: zswap-only, touches no simulator
-/// state, so workers can run it from `&TieredSystem` borrows.
-enum PageJob {
-    /// Compressed→compressed copy (source invalidation deferred to phase B).
-    CtoC {
-        /// Source compressed-tier index.
-        from: u16,
-        /// Destination compressed-tier index.
-        to: u16,
-        /// Live source handle from the plan-time snapshot.
-        stored: StoredPage,
-    },
-    /// DRAM/byte-tier source compressed into tier `to` (fill + store).
-    Store {
-        /// Page whose content to regenerate and compress.
-        vpage: u64,
-        /// Destination compressed-tier index.
-        to: u16,
-    },
-    /// Compressed source decompressed toward a byte destination
-    /// (read-only copy-out; invalidation deferred to phase B).
-    Fault {
-        /// Source compressed-tier index.
-        from: u16,
-        /// Live source handle from the plan-time snapshot.
-        stored: StoredPage,
-    },
+/// Batched pages prepared per chunk before the chunk is inserted. Every
+/// prepared copy is held until its insert, so this bounds what the engine
+/// buffers: a whole `kv-am-real` plan (~2,000 zstd pages at ratio 2.6)
+/// would hold ~3.2 MiB, more than that benchmark's ~2 MiB of peak-RSS
+/// headroom, while 32 pages hold at most 128 KiB. Larger chunks cost RSS:
+/// 128 pages measured +0.3 MiB of peak RSS on `kv-am-real` (2-vCPU host).
+const PREPARE_CHUNK: usize = 32;
+
+/// The pure half of moving one page: what [`prepare`] computes from
+/// `&ZswapSubsystem` alone, before anything is written.
+enum Prepared {
+    /// A DRAM, byte-tier or swapped page compressed for compressed tier `.0`.
+    Store(usize, Compressed),
+    /// A compressed page made ready for compressed tier `.0`.
+    Migrate(usize, MigrationCopy),
+    /// A compressed page decompressed toward byte placement `.0` (the
+    /// bytes are discarded: content is regenerable).
+    Decompressed(Placement),
 }
 
-/// Output of one successful phase-A job.
-enum JobOut {
-    /// `CtoC` outcome: new destination handle plus modeled cost.
-    Copied(ts_zswap::MigrationOutcome),
-    /// `Store` outcome: new destination handle.
-    Stored(StoredPage),
-    /// `Fault` done (decompressed bytes are discarded — content is
-    /// regenerable).
-    Faulted,
+/// What a page's insert left for its commit.
+#[derive(Clone)]
+enum Inserted {
+    /// Stored into compressed tier `t` (`stored` is `None` in `Modeled`
+    /// fidelity, where only the length is known).
+    Stored {
+        t: usize,
+        comp_len: u32,
+        stored: Option<StoredPage>,
+    },
+    /// Migrated into compressed tier `.0`; the source copy is still live.
+    Migrated(usize, MigrationOutcome),
+    /// Nothing to insert: the page moves to byte placement `.0`.
+    Bytes(Placement),
 }
 
-/// One batch's phase-A job results plus its thread-scoped metrics sink.
-type BatchOut = (Vec<Result<JobOut, ZswapError>>, WorkerSink);
+impl Prepared {
+    /// The stateful half: insert into the destination tier. Fault draws,
+    /// pool stores and zswap statistics all happen here, on one thread.
+    fn insert(self, z: &mut ZswapSubsystem, ids: &[TierId]) -> ZswapResult<Inserted> {
+        Ok(match self {
+            Prepared::Store(t, page) => {
+                let s = z.tier_mut(ids[t])?.insert(page, PAGE_SIZE)?;
+                Inserted::Stored {
+                    t,
+                    comp_len: s.compressed_len as u32,
+                    stored: Some(s),
+                }
+            }
+            Prepared::Migrate(t, copy) => Inserted::Migrated(t, z.insert_migration(copy)?),
+            Prepared::Decompressed(dest) => Inserted::Bytes(dest),
+        })
+    }
+}
+
+/// Prepare moving `vpage`, whose residency is `snap`, to `dest`: fill and
+/// compress, read and recompress (or only read, on the same-algorithm fast
+/// path), or decompress a page faulting out toward a byte placement. A pure
+/// function of the subsystem and the workload; writes only `scratch`.
+fn prepare(
+    z: &ZswapSubsystem,
+    ids: &[TierId],
+    wl: &dyn Workload,
+    (vpage, snap, dest): (u64, Residency, Placement),
+    scratch: &mut [u8],
+) -> ZswapResult<Prepared> {
+    let source = match snap {
+        Residency::Compressed {
+            tier,
+            stored: Some(s),
+            ..
+        } => Some((ids[tier as usize], s)),
+        _ => None,
+    };
+    match (source, dest) {
+        (Some((from, s)), Placement::Compressed(t)) => {
+            Ok(Prepared::Migrate(t, z.prepare_migration(from, ids[t], s)?))
+        }
+        (None, Placement::Compressed(t)) => {
+            wl.fill_page(vpage, scratch);
+            Ok(Prepared::Store(t, z.tier(ids[t])?.compress(scratch)))
+        }
+        (Some((from, s)), _) => {
+            z.tier(from)?.decompress(s)?;
+            Ok(Prepared::Decompressed(dest))
+        }
+        (None, _) => {
+            unreachable!("moves into byte placements from uncompressed pages are never prepared")
+        }
+    }
+}
+
+/// Record the per-destination `migrate.<scope>.*` counters of one batched
+/// page at its insert.
+fn record_insert(obs: &mut Registry, scope: &str, inserted: &ZswapResult<Inserted>) {
+    let (faulted, failed, bytes) = match inserted {
+        Ok(Inserted::Stored { comp_len, .. }) => (0, 0, Some(u64::from(*comp_len))),
+        Ok(Inserted::Migrated(_, m)) => (0, 0, Some(m.stored.compressed_len as u64)),
+        Ok(Inserted::Bytes(_)) => (1, 0, None),
+        Err(_) => (0, 1, None),
+    };
+    obs.inc(&format!("migrate.{scope}.jobs"));
+    obs.add(
+        &format!("migrate.{scope}.stored"),
+        u64::from(bytes.is_some()),
+    );
+    obs.add(&format!("migrate.{scope}.faulted"), faulted);
+    obs.add(&format!("migrate.{scope}.failed"), failed);
+    obs.add(&format!("migrate.{scope}.bytes_out"), bytes.unwrap_or(0));
+    if let Some(b) = bytes {
+        obs.observe(&format!("migrate.{scope}.compressed_len"), b as f64);
+    }
+}
+
+/// One page of a window plan, as classified before anything runs.
+struct PlanPage {
+    /// Index of the plan entry the page belongs to.
+    entry: usize,
+    vpage: u64,
+    /// Residency when the plan was classified.
+    snap: Residency,
+    disp: Disposition,
+}
 
 /// How one page of a plan is executed.
 enum Disposition {
     /// Already at the destination — nothing to do.
     Skip,
-    /// Legacy serial `migrate_page` in phase B (swapped or same-filled
+    /// [`TieredSystem::migrate_page`] at commit (swapped or same-filled
     /// sources, handle-less `Modeled` pages, duplicate plan entries).
     Serial,
-    /// Apply the result of phase-A job `job` of batch `batch`.
-    Parallel {
-        /// Batch index (one batch per destination placement).
-        batch: usize,
-        /// Job index within the batch.
-        job: usize,
-    },
+    /// Prepared in parallel and inserted serially ahead of every commit,
+    /// as job `job` of destination batch `batch`.
+    Batched { batch: usize, job: usize },
     /// Injected migration abort (fault plan): the page was never
-    /// enqueued, keeps its source placement, and phase B repairs the
-    /// report accounting (counted neither moved nor rejected).
+    /// enqueued, keeps its source placement, and is counted neither moved
+    /// nor rejected.
     Aborted,
 }
 
@@ -410,7 +490,7 @@ impl TieredSystem {
     /// byte-identical to the fault-free build.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         let plan = Arc::new(plan);
-        if let Some(z) = &self.zswap {
+        if let Some(z) = &mut self.zswap {
             z.set_fault_plan(&plan);
         }
         self.faults = Some(plan);
@@ -650,7 +730,7 @@ impl TieredSystem {
     /// Backing pool bytes of compressed tier `i`.
     pub fn tier_pool_bytes(&self, i: usize) -> u64 {
         match &self.zswap {
-            Some(z) => z.tiers()[i].read().pool_stats().pool_bytes(),
+            Some(z) => z.tiers()[i].pool_stats().pool_bytes(),
             None => self.tier_stats[i].pool_bytes_modeled,
         }
     }
@@ -737,11 +817,7 @@ impl TieredSystem {
                     s.read_latency_ns
                 }
             }
-            Residency::Compressed {
-                tier,
-                comp_len,
-                stored,
-            } => self.fault_in(vpage, tier as usize, comp_len, stored),
+            Residency::Compressed { tier, .. } => self.fault_in(vpage, tier as usize),
             Residency::Swapped {
                 comp_len,
                 slot,
@@ -757,64 +833,12 @@ impl TieredSystem {
     }
 
     /// Fault path: decompress and place the page in DRAM (or the first byte
-    /// tier with room when DRAM is full — §6.5).
-    fn fault_in(
-        &mut self,
-        vpage: u64,
-        tier: usize,
-        comp_len: u32,
-        stored: Option<StoredPage>,
-    ) -> f64 {
-        // Invalidate in the tier.
-        if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
-            let id = self.zswap_ids[tier];
-            // Real decompression (result discarded: content is regenerable).
-            let _ = z.load(id, s).expect("stored page is live");
-        }
-        let st = &mut self.tier_stats[tier];
-        st.pages -= 1;
-        st.comp_bytes -= comp_len as u64;
-        st.faults += 1;
-        if self.zswap.is_none() {
-            st.pool_bytes_modeled = st.pool_bytes_modeled.saturating_sub(Self::pool_share(
-                self.cfg.compressed_tiers[tier].pool,
-                comp_len,
-            ));
-        }
-        // Decompression + landing-tier access (Eq. 5). Same-filled pages
-        // (comp_len 0) reconstruct with a memset.
-        let tcfg = &self.cfg.compressed_tiers[tier];
-        let mut lat = if comp_len == 0 {
-            ts_zswap::tier::SAME_FILLED_FAULT_NS
-        } else {
-            tcfg.decompress_latency_ns() + tcfg.media.default_spec().stream_ns(comp_len as u64)
-        };
-        // Place in DRAM if it has room, else first byte tier with room.
-        let dram_room = self.dram_used_bytes() + (PAGE_SIZE as u64) <= self.cfg.dram_bytes;
-        if dram_room {
-            self.pages[vpage as usize] = Residency::Dram;
-            self.resident[0] += 1;
-            lat += self.dram_spec.read_latency_ns;
-        } else {
-            let mut placed = false;
-            for (i, &(_, cap)) in self.cfg.byte_tiers.iter().enumerate() {
-                if (self.resident[1 + i] + 1) * PAGE_SIZE as u64 <= cap {
-                    self.pages[vpage as usize] = Residency::Byte(i as u16);
-                    self.resident[1 + i] += 1;
-                    lat += self.byte_specs[i].read_latency_ns;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                // Overcommit DRAM (tracked; real systems would reclaim).
-                self.pages[vpage as usize] = Residency::Dram;
-                self.resident[0] += 1;
-                self.dram_overflow_faults += 1;
-                lat += self.dram_spec.read_latency_ns;
-            }
-        }
-        lat
+    /// tier with room when DRAM is full — §6.5). The cost is decompression
+    /// plus the landing tier's access (Eq. 5); same-filled pages
+    /// reconstruct with a memset.
+    fn fault_in(&mut self, vpage: u64, tier: usize) -> f64 {
+        self.tier_stats[tier].faults += 1;
+        self.remove_from_current(vpage, false) + self.land_faulted(vpage)
     }
 
     /// Swap-in path: read the compressed object from the swap device,
@@ -840,32 +864,26 @@ impl TieredSystem {
         self.swap_bytes -= comp_len as u64;
         self.swap_faults += 1;
         let tcfg = &self.cfg.compressed_tiers[origin_tier];
-        let mut lat = SwapDevice::READ_NS + tcfg.decompress_latency_ns();
-        // Land in DRAM (or the first byte tier with room), like fault_in.
-        let dram_room = self.dram_used_bytes() + (PAGE_SIZE as u64) <= self.cfg.dram_bytes;
-        if dram_room {
-            self.pages[vpage as usize] = Residency::Dram;
-            self.resident[0] += 1;
-            lat += self.dram_spec.read_latency_ns;
-        } else {
-            let mut placed = false;
+        SwapDevice::READ_NS + tcfg.decompress_latency_ns() + self.land_faulted(vpage)
+    }
+
+    /// Land a faulted page in DRAM if it has room, else in the first byte
+    /// tier with room, else overcommit DRAM (tracked; real systems would
+    /// reclaim). Returns the landing tier's read latency.
+    fn land_faulted(&mut self, vpage: u64) -> f64 {
+        if self.dram_used_bytes() + (PAGE_SIZE as u64) > self.cfg.dram_bytes {
             for (i, &(_, cap)) in self.cfg.byte_tiers.iter().enumerate() {
                 if (self.resident[1 + i] + 1) * PAGE_SIZE as u64 <= cap {
                     self.pages[vpage as usize] = Residency::Byte(i as u16);
                     self.resident[1 + i] += 1;
-                    lat += self.byte_specs[i].read_latency_ns;
-                    placed = true;
-                    break;
+                    return self.byte_specs[i].read_latency_ns;
                 }
             }
-            if !placed {
-                self.pages[vpage as usize] = Residency::Dram;
-                self.resident[0] += 1;
-                self.dram_overflow_faults += 1;
-                lat += self.dram_spec.read_latency_ns;
-            }
+            self.dram_overflow_faults += 1;
         }
-        lat
+        self.pages[vpage as usize] = Residency::Dram;
+        self.resident[0] += 1;
+        self.dram_spec.read_latency_ns
     }
 
     /// Enforce tier `t`'s pool limit by writing the oldest compressed pages
@@ -935,6 +953,11 @@ impl TieredSystem {
         cost
     }
 
+    /// The zswap subsystem behind the compressed tiers (`Real` fidelity).
+    pub fn zswap(&self) -> Option<&ZswapSubsystem> {
+        self.zswap.as_ref()
+    }
+
     /// Pages currently written back to the swap device.
     pub fn swapped_pages(&self) -> u64 {
         self.swap_pages
@@ -967,82 +990,187 @@ impl TieredSystem {
         }
     }
 
-    /// One migration attempt to exactly `dest` (no waterfall fallback).
+    /// One migration attempt to exactly `dest` (no waterfall fallback):
+    /// insert into the destination, then commit, back to back.
     fn migrate_page_once(&mut self, vpage: u64, dest: Placement) -> SimResult<f64> {
-        let src = self.page_placement(vpage);
-        if src == dest {
+        if self.page_placement(vpage) == dest {
             return Ok(0.0);
         }
-        let cost = match dest {
-            Placement::Dram | Placement::ByteTier(_) => {
-                let out_cost = self.remove_from_current(vpage);
-                let in_cost = self.place_byte(vpage, dest);
-                out_cost + in_cost
-            }
-            Placement::Compressed(t) => {
-                // Compressed-to-compressed can use the zswap fast path.
-                let fast = match self.pages[vpage as usize] {
-                    Residency::Compressed {
-                        tier: from,
-                        stored: Some(s),
-                        comp_len,
-                    } if self.zswap.is_some() => Some((from, s, comp_len)),
-                    _ => None,
-                };
-                if let Some((from, s, comp_len)) = fast {
-                    let from_id = self.zswap_ids[from as usize];
-                    let to_id = self.zswap_ids[t];
-                    let result = match self.zswap.as_mut() {
-                        Some(z) => z.migrate_with_cost(from_id, to_id, s),
-                        // `fast` implies zswap is present; degrade to the
-                        // slow path rather than panic if it is not.
-                        None => return self.compress_into(vpage, t),
-                    };
-                    match result {
-                        Ok(out) => {
-                            let fs = &mut self.tier_stats[from as usize];
-                            fs.pages -= 1;
-                            fs.comp_bytes -= comp_len as u64;
-                            let ts = &mut self.tier_stats[t];
-                            ts.pages += 1;
-                            ts.comp_bytes += out.stored.compressed_len as u64;
-                            ts.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len: out.stored.compressed_len as u32,
-                                stored: Some(out.stored),
-                            };
-                            // The page is now a writeback candidate in its
-                            // new tier, whose pool limit must still hold.
-                            self.wb_order[t].push_back(vpage);
-                            out.cost_ns + self.enforce_pool_limit(t)
-                        }
-                        Err(ZswapError::Incompressible) => {
-                            self.tier_stats[t].rejections += 1;
-                            return Err(SimError::Rejected);
-                        }
-                        Err(ZswapError::CompressFailed) => {
-                            self.fault_counters.bump(FaultSite::ZswapStore);
-                            return Err(SimError::Tier(TierError::CompressFailed));
-                        }
-                        Err(ZswapError::Pool(PoolError::OutOfMemory)) if self.faults.is_some() => {
-                            self.fault_counters.bump(FaultSite::PoolAlloc);
-                            return Err(SimError::Tier(TierError::PoolExhausted));
-                        }
-                        Err(e) => return Err(SimError::Zswap(e)),
-                    }
-                } else {
-                    self.compress_into(vpage, t)?
-                }
-            }
+        let inserted = match dest {
+            Placement::Dram | Placement::ByteTier(_) => Inserted::Bytes(dest),
+            Placement::Compressed(t) => self.insert_serial(vpage, t)?,
         };
+        let (move_ns, wb_ns) = self.commit(vpage, inserted, false);
+        let cost = move_ns + wb_ns;
         self.daemon_ns += cost;
         self.advance_tco(cost);
         Ok(cost)
     }
 
-    /// Remove a page from its current residency, returning the read-out cost.
-    fn remove_from_current(&mut self, vpage: u64) -> f64 {
+    /// Insert `vpage` into compressed tier `t` on the serial path: prepare
+    /// and insert in one go (`Real`), or model the store (`Modeled`).
+    fn insert_serial(&mut self, vpage: u64, t: usize) -> SimResult<Inserted> {
+        let Some(z) = self.zswap.as_mut() else {
+            return self.model_store(vpage, t);
+        };
+        let dest = Placement::Compressed(t);
+        let job = (vpage, self.pages[vpage as usize], dest);
+        let inserted = prepare(
+            z,
+            &self.zswap_ids,
+            self.workload.as_ref(),
+            job,
+            &mut self.page_buf,
+        )
+        .and_then(|p| p.insert(z, &self.zswap_ids));
+        inserted.map_err(|e| self.insert_error(dest, e))
+    }
+
+    /// Model storing `vpage` into compressed tier `t` (`Modeled` fidelity).
+    /// With no zswap layer to trip inside, the store-path faults are drawn
+    /// here (`Real` fidelity injects inside ts-zswap/ts-zpool, keyed by the
+    /// serial insert step's store counters); the compressed length comes
+    /// from the calibration table.
+    fn model_store(&mut self, vpage: u64, t: usize) -> SimResult<Inserted> {
+        if self.fault_trips(FaultSite::ZswapStore) {
+            self.fault_counters.bump(FaultSite::ZswapStore);
+            return Err(SimError::Tier(TierError::CompressFailed));
+        }
+        if self.fault_trips(FaultSite::PoolAlloc) {
+            self.fault_counters.bump(FaultSite::PoolAlloc);
+            return Err(SimError::Tier(TierError::PoolExhausted));
+        }
+        let class = self.workload.page_class(vpage);
+        let comp_len = if class == ts_workloads::PageClass::Zero {
+            // Same-filled page: a marker, no pool bytes (kernel zswap's
+            // same-filled optimization).
+            0
+        } else {
+            let tag = vpage ^ self.cfg.seed.rotate_left(13);
+            let algorithm = self.cfg.compressed_tiers[t].algorithm;
+            match self.calib.modeled_len(algorithm, class, tag) {
+                Some(n) => n as u32,
+                None => {
+                    self.tier_stats[t].rejections += 1;
+                    return Err(SimError::Rejected);
+                }
+            }
+        };
+        Ok(Inserted::Stored {
+            t,
+            comp_len,
+            stored: None,
+        })
+    }
+
+    /// Map a zswap insert error for a move to `dest` into the simulator's
+    /// error space, counting rejections and faults where they surface.
+    fn insert_error(&mut self, dest: Placement, e: ZswapError) -> SimError {
+        match e {
+            ZswapError::Incompressible => {
+                if let Placement::Compressed(t) = dest {
+                    self.tier_stats[t].rejections += 1;
+                }
+                SimError::Rejected
+            }
+            ZswapError::CompressFailed => {
+                self.fault_counters.bump(FaultSite::ZswapStore);
+                SimError::Tier(TierError::CompressFailed)
+            }
+            ZswapError::Pool(PoolError::OutOfMemory) if self.faults.is_some() => {
+                self.fault_counters.bump(FaultSite::PoolAlloc);
+                SimError::Tier(TierError::PoolExhausted)
+            }
+            e => SimError::Zswap(e),
+        }
+    }
+
+    /// Commit one page whose destination insert already happened: release
+    /// the source, then update the page table, statistics and writeback
+    /// queue. Returns the move cost and the pool-limit writeback cost it
+    /// triggered. `batched` pages were decompressed while being prepared,
+    /// so a compressed source is invalidated rather than loaded.
+    fn commit(&mut self, vpage: u64, inserted: Inserted, batched: bool) -> (f64, f64) {
+        match inserted {
+            Inserted::Bytes(dest) => {
+                let out_ns = self.remove_from_current(vpage, batched);
+                (out_ns + self.place_byte(vpage, dest), 0.0)
+            }
+            Inserted::Stored {
+                t,
+                comp_len,
+                stored,
+            } => {
+                let out_ns = self.remove_from_current(vpage, false);
+                let wb_ns = self.enter_compressed(vpage, t, comp_len, stored);
+                let tcfg = &self.cfg.compressed_tiers[t];
+                let store_ns = tcfg.compress_latency_ns();
+                let stream_ns = tcfg.media.default_spec().stream_ns(comp_len as u64);
+                // Batched charges sum left to right and serial ones group
+                // the insert terms; goldens pin both orders bit for bit.
+                let move_ns = if batched {
+                    out_ns + store_ns + stream_ns
+                } else {
+                    out_ns + (store_ns + stream_ns)
+                };
+                (move_ns, wb_ns)
+            }
+            Inserted::Migrated(t, out) => {
+                let Residency::Compressed {
+                    tier: from,
+                    comp_len,
+                    stored: Some(s),
+                } = self.pages[vpage as usize]
+                else {
+                    unreachable!("migrations start from stored compressed pages")
+                };
+                let from = from as usize;
+                self.zswap
+                    .as_mut()
+                    .expect("migrations imply Real fidelity")
+                    .release_source(self.zswap_ids[from], s)
+                    .expect("source copy is live until its commit");
+                let fs = &mut self.tier_stats[from];
+                fs.pages -= 1;
+                fs.comp_bytes -= comp_len as u64;
+                let new_len = out.stored.compressed_len as u32;
+                let wb_ns = self.enter_compressed(vpage, t, new_len, Some(out.stored));
+                (out.cost_ns, wb_ns)
+            }
+        }
+    }
+
+    /// Record `vpage` as stored in compressed tier `t` and enforce the
+    /// tier's pool limit, now that the page is a writeback candidate there;
+    /// returns the writeback cost.
+    fn enter_compressed(
+        &mut self,
+        vpage: u64,
+        t: usize,
+        comp_len: u32,
+        stored: Option<StoredPage>,
+    ) -> f64 {
+        let st = &mut self.tier_stats[t];
+        st.pages += 1;
+        st.comp_bytes += comp_len as u64;
+        st.stores += 1;
+        if self.zswap.is_none() {
+            st.pool_bytes_modeled += Self::pool_share(self.cfg.compressed_tiers[t].pool, comp_len);
+        }
+        self.pages[vpage as usize] = Residency::Compressed {
+            tier: t as u16,
+            comp_len,
+            stored,
+        };
+        self.wb_order[t].push_back(vpage);
+        self.enforce_pool_limit(t)
+    }
+
+    /// Remove a page from its current residency, returning the read-out
+    /// cost. A zswap-backed source is loaded, unless it was `decompressed`
+    /// already while being prepared; then it is only invalidated, which
+    /// keeps zswap fault statistics for real faults.
+    fn remove_from_current(&mut self, vpage: u64, decompressed: bool) -> f64 {
         match self.pages[vpage as usize] {
             Residency::Dram => {
                 self.resident[0] -= 1;
@@ -1072,7 +1200,11 @@ impl TieredSystem {
             } => {
                 if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
                     let id = self.zswap_ids[tier as usize];
-                    let _ = z.load(id, s).expect("stored page is live");
+                    if decompressed {
+                        z.invalidate(id, s).expect("stored page is live");
+                    } else {
+                        let _ = z.load(id, s).expect("stored page is live");
+                    }
                 }
                 let st = &mut self.tier_stats[tier as usize];
                 st.pages -= 1;
@@ -1110,83 +1242,6 @@ impl TieredSystem {
         }
     }
 
-    /// Compress page `vpage` into tier `t` from a byte-addressable source.
-    fn compress_into(&mut self, vpage: u64, t: usize) -> SimResult<f64> {
-        let tcfg = self.cfg.compressed_tiers[t].clone();
-        // `Modeled` fidelity has no zswap layer to trip inside, so the
-        // store-path faults are drawn here on the serial path. (`Real`
-        // fidelity injects inside ts-zswap/ts-zpool instead, keyed by the
-        // single-writer store counters, and the errors are mapped below.)
-        if self.zswap.is_none() {
-            if self.fault_trips(FaultSite::ZswapStore) {
-                self.fault_counters.bump(FaultSite::ZswapStore);
-                return Err(SimError::Tier(TierError::CompressFailed));
-            }
-            if self.fault_trips(FaultSite::PoolAlloc) {
-                self.fault_counters.bump(FaultSite::PoolAlloc);
-                return Err(SimError::Tier(TierError::PoolExhausted));
-            }
-        }
-        let (comp_len, stored) = match &mut self.zswap {
-            Some(z) => {
-                self.workload.fill_page(vpage, &mut self.page_buf);
-                let id = self.zswap_ids[t];
-                match z.store(id, &self.page_buf) {
-                    Ok(s) => (s.compressed_len as u32, Some(s)),
-                    Err(ZswapError::Incompressible) => {
-                        self.tier_stats[t].rejections += 1;
-                        return Err(SimError::Rejected);
-                    }
-                    Err(ZswapError::CompressFailed) => {
-                        self.fault_counters.bump(FaultSite::ZswapStore);
-                        return Err(SimError::Tier(TierError::CompressFailed));
-                    }
-                    Err(ZswapError::Pool(PoolError::OutOfMemory)) if self.faults.is_some() => {
-                        self.fault_counters.bump(FaultSite::PoolAlloc);
-                        return Err(SimError::Tier(TierError::PoolExhausted));
-                    }
-                    Err(e) => return Err(SimError::Zswap(e)),
-                }
-            }
-            None => {
-                let class = self.workload.page_class(vpage);
-                if class == ts_workloads::PageClass::Zero {
-                    // Same-filled page: a marker, no pool bytes (kernel
-                    // zswap's same-filled optimization).
-                    (0, None)
-                } else {
-                    let tag = vpage ^ self.cfg.seed.rotate_left(13);
-                    match self.calib.modeled_len(tcfg.algorithm, class, tag) {
-                        Some(n) => (n as u32, None),
-                        None => {
-                            self.tier_stats[t].rejections += 1;
-                            return Err(SimError::Rejected);
-                        }
-                    }
-                }
-            }
-        };
-        // Only detach from the source once the compression side committed.
-        let out_cost = self.remove_from_current(vpage);
-        let st = &mut self.tier_stats[t];
-        st.pages += 1;
-        st.comp_bytes += comp_len as u64;
-        st.stores += 1;
-        if self.zswap.is_none() {
-            st.pool_bytes_modeled += Self::pool_share(tcfg.pool, comp_len);
-        }
-        self.pages[vpage as usize] = Residency::Compressed {
-            tier: t as u16,
-            comp_len,
-            stored,
-        };
-        self.wb_order[t].push_back(vpage);
-        let wb_cost = self.enforce_pool_limit(t);
-        let in_cost =
-            tcfg.compress_latency_ns() + tcfg.media.default_spec().stream_ns(comp_len as u64);
-        Ok(out_cost + in_cost + wb_cost)
-    }
-
     /// Migrate every page of `region` to `dest`; rejected pages stay put.
     pub fn migrate_region(&mut self, region: u64, dest: Placement) -> MigrationReport {
         let mut report = MigrationReport::default();
@@ -1208,30 +1263,34 @@ impl TieredSystem {
         report
     }
 
-    /// Execute a whole window plan through the parallel migration engine.
+    /// Execute a whole window plan through the migration engine, in three
+    /// steps:
     ///
-    /// The plan's pages are partitioned into batches by *destination*
-    /// placement and the batches run on a scoped worker pool (`workers`
-    /// threads; 1 runs every batch inline on the caller thread). Phase A is
-    /// zswap-only: each batch's worker compresses/copies/decompresses its
-    /// pages into the destination tier, deferring every source
-    /// invalidation. Phase B then walks the plan serially in plan order,
-    /// merging results **by batch identity, never by completion order**:
-    /// it applies residency/stats bookkeeping, invalidates sources, and
-    /// enforces pool limits.
+    /// 1. **Classify.** Every plan page is classified against a snapshot of
+    ///    the page table, and the pages the engine can batch are grouped
+    ///    into one batch per destination placement, in first-appearance
+    ///    order. Injected migration aborts are drawn here, serially.
+    /// 2. **Prepare, then insert, chunk by chunk.** Batched pages are walked
+    ///    in batch order (plan order within a batch). Each chunk of
+    ///    [`PREPARE_CHUNK`] pages is prepared on `workers` threads — pure
+    ///    compression, recompression or decompression from `&self` — and
+    ///    then inserted into its destination tier on this thread.
+    /// 3. **Commit.** The plan is walked in plan order: batched pages
+    ///    release their source and update the page table, statistics and
+    ///    writeback queue through the same helpers the serial path uses;
+    ///    the others run [`TieredSystem::migrate_page`] at their position.
     ///
-    /// Because one worker owns a destination tier end to end, sources are
-    /// only read in phase A, and all costs are closed-form in the page
-    /// sizes, the outcome — placements, statistics, and every charged
-    /// nanosecond — is bit-identical for any `workers` value. The charged
-    /// daemon time models one logical worker per batch: the wall-clock
-    /// cost is the *slowest batch's* busy time (plus the serial phase-B
-    /// extras), not the sum over batches.
+    /// Every insert happens before any commit-time source release or
+    /// pool-limit writeback, and every state change happens on this thread
+    /// in an order fixed by the plan, so the outcome — placements,
+    /// statistics, and every charged nanosecond — is bit-identical for any
+    /// `workers` value. The charged daemon time models one logical worker
+    /// per batch: the *slowest batch's* busy time (plus the serial
+    /// writeback extras), not the sum over batches.
     ///
-    /// Pages the engine cannot batch safely (swapped or same-filled
-    /// sources, `Modeled`-fidelity pages without real handles, duplicate
-    /// plan entries) fall back to [`TieredSystem::migrate_page`], threaded
-    /// through phase B at their plan position.
+    /// Pages the engine cannot batch (swapped or same-filled sources,
+    /// `Modeled`-fidelity pages without real handles, duplicate plan
+    /// entries) take the serial path.
     pub fn execute_plan(&mut self, moves: &[PlannedMove], workers: usize) -> MigrationReport {
         let workers = workers.max(1);
         let mut report = MigrationReport {
@@ -1240,181 +1299,90 @@ impl TieredSystem {
         };
         let faults_before = self.fault_counters;
 
-        // Phase 0: classify every page of the plan against a snapshot of
-        // the page table. Nothing below mutates simulator state until
-        // phase B, so the snapshot is exact; only phase-B pool-limit
+        // Classify every page of the plan against a snapshot of the page
+        // table. Nothing below mutates simulator state until the commit
+        // step, so the snapshot is exact; only a commit-time pool-limit
         // writeback can invalidate it (caught by the stale guard below).
         // A region listed twice would see the first entry's effects, so
         // duplicates take the serial path.
         let mut seen = std::collections::BTreeSet::new();
         let mut batch_of: std::collections::BTreeMap<Placement, usize> =
             std::collections::BTreeMap::new();
-        // Batches in first-appearance order of their destination.
-        let mut batches: Vec<(Placement, Vec<PageJob>)> = Vec::new();
-        let mut plan_pages: Vec<(usize, u64, Residency, Disposition)> = Vec::new();
+        // Batches in first-appearance order of their destination, each
+        // listing its pages (indices into `plan`) in plan order.
+        let mut batches: Vec<(Placement, Vec<usize>)> = Vec::new();
+        let mut plan: Vec<PlanPage> = Vec::new();
 
-        for (ei, mv) in moves.iter().enumerate() {
+        for (entry, mv) in moves.iter().enumerate() {
             let fresh = seen.insert(mv.region);
             for vpage in self.region_pages(mv.region) {
-                let res = self.pages[vpage as usize];
-                if self.page_placement(vpage) == mv.dest {
-                    plan_pages.push((ei, vpage, res, Disposition::Skip));
-                    continue;
-                }
-                // Injected migration abort: drawn here, on the serial
-                // classification pass, so the decision sequence (and thus
-                // the whole run) is identical at any worker count. The
-                // page is never enqueued and keeps its placement.
-                if self.fault_trips(FaultSite::MigrationCopy) {
+                let snap = self.pages[vpage as usize];
+                let disp = if self.page_placement(vpage) == mv.dest {
+                    Disposition::Skip
+                } else if self.fault_trips(FaultSite::MigrationCopy) {
+                    // Injected migration abort: drawn here, on the serial
+                    // classification pass, so the decision sequence (and
+                    // thus the whole run) is identical at any worker count.
+                    // The page is never enqueued and keeps its placement.
                     self.fault_counters.bump(FaultSite::MigrationCopy);
-                    plan_pages.push((ei, vpage, res, Disposition::Aborted));
-                    continue;
-                }
-                let job = if !fresh || self.zswap.is_none() {
-                    None
+                    Disposition::Aborted
+                } else if fresh && self.zswap.is_some() && Self::batchable(snap, mv.dest) {
+                    let batch = *batch_of.entry(mv.dest).or_insert_with(|| {
+                        batches.push((mv.dest, Vec::new()));
+                        batches.len() - 1
+                    });
+                    batches[batch].1.push(plan.len());
+                    let job = batches[batch].1.len() - 1;
+                    Disposition::Batched { batch, job }
                 } else {
-                    match (res, mv.dest) {
-                        (
-                            Residency::Compressed {
-                                tier,
-                                stored: Some(s),
-                                ..
-                            },
-                            Placement::Compressed(t),
-                        ) if !s.is_same_filled() => Some(PageJob::CtoC {
-                            from: tier,
-                            to: t as u16,
-                            stored: s,
-                        }),
-                        (Residency::Dram | Residency::Byte(_), Placement::Compressed(t)) => {
-                            Some(PageJob::Store {
-                                vpage,
-                                to: t as u16,
-                            })
-                        }
-                        (
-                            Residency::Compressed {
-                                tier,
-                                stored: Some(s),
-                                comp_len,
-                            },
-                            Placement::Dram | Placement::ByteTier(_),
-                        ) if comp_len > 0 => Some(PageJob::Fault {
-                            from: tier,
-                            stored: s,
-                        }),
-                        // Swapped sources need the single-writer swap
-                        // device; same-filled and handle-less pages are
-                        // pure bookkeeping. All cheap — serial.
-                        _ => None,
-                    }
+                    Disposition::Serial
                 };
-                match job {
-                    Some(j) => {
-                        let b = *batch_of.entry(mv.dest).or_insert_with(|| {
-                            batches.push((mv.dest, Vec::new()));
-                            batches.len() - 1
-                        });
-                        batches[b].1.push(j);
-                        let ji = batches[b].1.len() - 1;
-                        plan_pages.push((
-                            ei,
-                            vpage,
-                            res,
-                            Disposition::Parallel { batch: b, job: ji },
-                        ));
-                    }
-                    None => plan_pages.push((ei, vpage, res, Disposition::Serial)),
-                }
+                plan.push(PlanPage {
+                    entry,
+                    vpage,
+                    snap,
+                    disp,
+                });
             }
         }
         report.batches = batches.len() as u32;
 
-        // Phase A: run the batches' zswap work on the worker pool. One
-        // worker owns a batch end to end, so every destination tier has a
-        // single writer; source tiers are only read. Results land in a
-        // slot per batch — merged by identity, not completion order. Each
-        // batch also fills a thread-scoped metrics sink (plain field bumps,
-        // no locks on the page-copy path); only the sink's wall-clock is
-        // host-dependent, and that never reaches the metrics snapshot.
-        let results: Vec<BatchOut> = if batches.is_empty() {
-            Vec::new()
-        } else {
-            let z = self
-                .zswap
-                .as_ref()
-                .expect("batched jobs imply Real fidelity");
-            let ids = &self.zswap_ids;
-            let wl: &dyn Workload = self.workload.as_ref();
-            let run_batch = |jobs: &[PageJob]| -> BatchOut {
+        // Prepare, then insert, chunk by chunk, in batch order. Only the
+        // inserts write, and they run here in a fixed order, so every
+        // destination pool (and every frame of a shared node) sees the same
+        // sequence of stores at any worker count. Host wall time per batch
+        // (prepare + insert) feeds only the trace.
+        let scopes: Vec<String> = batches.iter().map(|(dest, _)| dest.to_string()).collect();
+        let mut inserted: Vec<Vec<ZswapResult<Inserted>>> = vec![Vec::new(); batches.len()];
+        let mut wall = vec![0u64; batches.len()];
+        let order: Vec<(usize, usize)> = batches
+            .iter()
+            .enumerate()
+            .flat_map(|(b, (_, pages))| pages.iter().map(move |&i| (b, i)))
+            .collect();
+        for chunk in order.chunks(PREPARE_CHUNK) {
+            let jobs: Vec<(u64, Residency, Placement)> = chunk
+                .iter()
+                .map(|&(_, i)| (plan[i].vpage, plan[i].snap, moves[plan[i].entry].dest))
+                .collect();
+            for (&(b, _), (prepared, prepare_ns)) in
+                chunk.iter().zip(self.prepare_chunk(&jobs, workers))
+            {
                 let timer = SpanTimer::new();
-                let mut sink = WorkerSink::default();
-                let mut buf = vec![0u8; PAGE_SIZE];
-                let out = jobs
-                    .iter()
-                    .map(|job| {
-                        let r = match *job {
-                            PageJob::CtoC { from, to, stored } => z
-                                .migrate_copy(ids[from as usize], ids[to as usize], stored)
-                                .map(JobOut::Copied),
-                            PageJob::Store { vpage, to } => {
-                                wl.fill_page(vpage, &mut buf);
-                                z.store(ids[to as usize], &buf).map(JobOut::Stored)
-                            }
-                            PageJob::Fault { from, stored } => z
-                                .fault_copy(ids[from as usize], stored)
-                                .map(|_| JobOut::Faulted),
-                        };
-                        match &r {
-                            Ok(JobOut::Copied(m)) => {
-                                sink.record_store(m.stored.compressed_len as u64)
-                            }
-                            Ok(JobOut::Stored(s)) => sink.record_store(s.compressed_len as u64),
-                            Ok(JobOut::Faulted) => sink.record_fault(),
-                            Err(_) => sink.record_failure(),
-                        }
-                        r
-                    })
-                    .collect();
-                sink.wall_ns = timer.elapsed_ns();
-                (out, sink)
-            };
-            if workers == 1 || batches.len() == 1 {
-                batches.iter().map(|(_, jobs)| run_batch(jobs)).collect()
-            } else {
-                let nworkers = workers.min(batches.len());
-                let batches_ref = &batches;
-                let run = &run_batch;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..nworkers)
-                        .map(|w| {
-                            scope.spawn(move |_| {
-                                batches_ref
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(i, _)| i % nworkers == w)
-                                    .map(|(i, (_, jobs))| (i, run(jobs)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    let mut merged: Vec<Option<BatchOut>> =
-                        (0..batches_ref.len()).map(|_| None).collect();
-                    for h in handles {
-                        for (i, r) in h.join().expect("migration worker panicked") {
-                            merged[i] = Some(r);
-                        }
-                    }
-                    merged
-                        .into_iter()
-                        .map(|r| r.expect("round-robin covers every batch"))
-                        .collect()
-                })
-                .expect("scope propagates panics instead of erring")
+                let z = self
+                    .zswap
+                    .as_mut()
+                    .expect("batched pages imply Real fidelity");
+                let result = prepared.and_then(|p| p.insert(z, &self.zswap_ids));
+                wall[b] += prepare_ns + timer.elapsed_ns();
+                if let Some(obs) = self.obs.as_deref_mut() {
+                    record_insert(obs, &scopes[b], &result);
+                }
+                inserted[b].push(result);
             }
-        };
+        }
 
-        // Phase B: apply results serially, in plan order.
+        // Commit serially, in plan order.
         let mut busy = vec![0.0f64; batches.len()];
         let mut serial_extra = 0.0f64;
         let mut tail_ns = 0.0f64;
@@ -1423,182 +1391,74 @@ impl TieredSystem {
         let mut skipped_pages = 0u64;
         let mut aborted_pages = 0u64;
 
-        for (ei, vpage, snap, disp) in plan_pages {
-            let dest = moves[ei].dest;
-            match disp {
-                Disposition::Skip => skipped_pages += 1,
-                // Repair for an aborted page: it kept its source placement
-                // and the report counts it neither moved nor rejected, so
-                // the accounting stays exact.
-                Disposition::Aborted => aborted_pages += 1,
+        for PlanPage {
+            entry,
+            vpage,
+            snap,
+            disp,
+        } in plan
+        {
+            let dest = moves[entry].dest;
+            // Where the page still has to go through `migrate_page`.
+            let serial_dest = match disp {
+                Disposition::Skip => {
+                    skipped_pages += 1;
+                    None
+                }
+                Disposition::Aborted => {
+                    aborted_pages += 1;
+                    None
+                }
                 Disposition::Serial => {
                     serial_pages += 1;
-                    match self.migrate_page(vpage, dest) {
-                        Ok(c) => {
-                            if c > 0.0 {
+                    Some(dest)
+                }
+                Disposition::Batched { batch, job } => {
+                    let inserted = inserted[batch][job].clone();
+                    if self.pages[vpage as usize] != snap {
+                        // An earlier commit's pool-limit writeback evicted
+                        // this page to swap after the snapshot: the copy
+                        // the insert made is an orphan. Roll it back and
+                        // take the serial path, which handles the swap
+                        // source.
+                        self.roll_back(&inserted);
+                        Some(dest)
+                    } else {
+                        match inserted.map_err(|e| self.insert_error(dest, e)) {
+                            Ok(ins) => {
+                                let (move_ns, wb_ns) = self.commit(vpage, ins, true);
+                                busy[batch] += move_ns;
+                                serial_extra += wb_ns;
                                 report.moved += 1;
-                                entry_moved[ei] = true;
+                                entry_moved[entry] = true;
+                                None
                             }
-                            tail_ns += c;
+                            // Destination pool exhausted at insert: retry
+                            // on the serial waterfall path, which overflows
+                            // into the next compressed tier down.
+                            Err(SimError::Tier(TierError::PoolExhausted)) => {
+                                let next = self.overflow_dest(dest);
+                                report.rejected += u64::from(next.is_none());
+                                next
+                            }
+                            Err(_) => {
+                                report.rejected += 1;
+                                None
+                            }
                         }
-                        Err(_) => report.rejected += 1,
                     }
                 }
-                Disposition::Parallel { batch, job } => {
-                    let stale = self.pages[vpage as usize] != snap;
-                    match (&results[batch].0[job], stale) {
-                        // An earlier entry's pool-limit writeback evicted
-                        // this page to swap after the snapshot: the copy
-                        // phase-A made is an orphan. Roll it back and take
-                        // the serial path, which handles the swap source.
-                        // (`Faulted` and `Err` jobs left nothing behind.)
-                        (result, true) => {
-                            let orphan = match result {
-                                Ok(JobOut::Copied(m)) => Some(m.stored),
-                                Ok(JobOut::Stored(s)) => Some(*s),
-                                Ok(JobOut::Faulted) | Err(_) => None,
-                            };
-                            if let Some(orphan) = orphan {
-                                let Placement::Compressed(t) = dest else {
-                                    unreachable!("destination copies target compressed tiers")
-                                };
-                                self.zswap
-                                    .as_ref()
-                                    .expect("real fidelity")
-                                    .invalidate(self.zswap_ids[t], orphan)
-                                    .expect("orphaned copy is live");
-                            }
-                            match self.migrate_page(vpage, dest) {
-                                Ok(c) => {
-                                    if c > 0.0 {
-                                        report.moved += 1;
-                                        entry_moved[ei] = true;
-                                    }
-                                    tail_ns += c;
-                                }
-                                Err(_) => report.rejected += 1,
-                            }
-                        }
-                        (Ok(JobOut::Copied(out)), false) => {
-                            let out = *out;
-                            let Residency::Compressed {
-                                tier: from,
-                                comp_len,
-                                stored: Some(s),
-                            } = snap
-                            else {
-                                unreachable!("CtoC jobs come from stored compressed pages")
-                            };
-                            let Placement::Compressed(t) = dest else {
-                                unreachable!("CtoC jobs target compressed tiers")
-                            };
-                            let from = from as usize;
-                            let z = self.zswap.as_ref().expect("real fidelity");
-                            z.finish_migration_out(self.zswap_ids[from], s)
-                                .expect("source copy is live until phase B");
-                            let fs = &mut self.tier_stats[from];
-                            fs.pages -= 1;
-                            fs.comp_bytes -= comp_len as u64;
-                            let ts = &mut self.tier_stats[t];
-                            ts.pages += 1;
-                            ts.comp_bytes += out.stored.compressed_len as u64;
-                            ts.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len: out.stored.compressed_len as u32,
-                                stored: Some(out.stored),
-                            };
-                            self.wb_order[t].push_back(vpage);
-                            busy[batch] += out.cost_ns;
-                            serial_extra += self.enforce_pool_limit(t);
+            };
+            if let Some(dest) = serial_dest {
+                match self.migrate_page(vpage, dest) {
+                    Ok(c) => {
+                        if c > 0.0 {
                             report.moved += 1;
-                            entry_moved[ei] = true;
+                            entry_moved[entry] = true;
                         }
-                        (Ok(JobOut::Stored(new)), false) => {
-                            let new = *new;
-                            let Placement::Compressed(t) = dest else {
-                                unreachable!("Store jobs target compressed tiers")
-                            };
-                            let out_cost = self.remove_from_current(vpage);
-                            let comp_len = new.compressed_len as u32;
-                            let st = &mut self.tier_stats[t];
-                            st.pages += 1;
-                            st.comp_bytes += comp_len as u64;
-                            st.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len,
-                                stored: Some(new),
-                            };
-                            self.wb_order[t].push_back(vpage);
-                            let tcfg = &self.cfg.compressed_tiers[t];
-                            busy[batch] += out_cost
-                                + tcfg.compress_latency_ns()
-                                + tcfg.media.default_spec().stream_ns(comp_len as u64);
-                            serial_extra += self.enforce_pool_limit(t);
-                            report.moved += 1;
-                            entry_moved[ei] = true;
-                        }
-                        (Ok(JobOut::Faulted), false) => {
-                            let Residency::Compressed {
-                                tier: from,
-                                comp_len,
-                                stored: Some(s),
-                            } = snap
-                            else {
-                                unreachable!("Fault jobs come from stored compressed pages")
-                            };
-                            let from = from as usize;
-                            let z = self.zswap.as_ref().expect("real fidelity");
-                            z.invalidate(self.zswap_ids[from], s)
-                                .expect("source page is live until phase B");
-                            let st = &mut self.tier_stats[from];
-                            st.pages -= 1;
-                            st.comp_bytes -= comp_len as u64;
-                            let tcfg = &self.cfg.compressed_tiers[from];
-                            let out_cost = tcfg.decompress_latency_ns()
-                                + tcfg.media.default_spec().stream_ns(comp_len as u64);
-                            let in_cost = self.place_byte(vpage, dest);
-                            busy[batch] += out_cost + in_cost;
-                            report.moved += 1;
-                            entry_moved[ei] = true;
-                        }
-                        (Err(ZswapError::Incompressible), false) => {
-                            if let Placement::Compressed(t) = dest {
-                                self.tier_stats[t].rejections += 1;
-                            }
-                            report.rejected += 1;
-                        }
-                        // Injected compression failure in phase A: the
-                        // source copy is intact (stores fail before any
-                        // source release), so the page just stays put.
-                        (Err(ZswapError::CompressFailed), false) => {
-                            self.fault_counters.bump(FaultSite::ZswapStore);
-                            report.rejected += 1;
-                        }
-                        // Destination pool exhausted in phase A: repair in
-                        // phase B with the serial waterfall path, which
-                        // overflows into the next compressed tier down.
-                        (Err(ZswapError::Pool(PoolError::OutOfMemory)), false)
-                            if self.faults.is_some() =>
-                        {
-                            self.fault_counters.bump(FaultSite::PoolAlloc);
-                            match self.overflow_dest(dest) {
-                                Some(next) => match self.migrate_page(vpage, next) {
-                                    Ok(c) => {
-                                        if c > 0.0 {
-                                            report.moved += 1;
-                                            entry_moved[ei] = true;
-                                        }
-                                        tail_ns += c;
-                                    }
-                                    Err(_) => report.rejected += 1,
-                                },
-                                None => report.rejected += 1,
-                            }
-                        }
-                        (Err(_), false) => report.rejected += 1,
+                        tail_ns += c;
                     }
+                    Err(_) => report.rejected += 1,
                 }
             }
         }
@@ -1606,21 +1466,19 @@ impl TieredSystem {
         // Deterministic reduction: the engine models one logical worker
         // per destination batch, so the charged wall-clock is the slowest
         // batch's busy time — invariant in the configured `workers`, which
-        // only changes how fast the *host* executes phase A.
-        let wall = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-        report.stall_ns = busy.iter().map(|&b| wall - b).sum();
-        let engine_ns = wall + serial_extra;
+        // only changes how fast the *host* prepares pages.
+        let critical = busy.iter().fold(0.0f64, |a, &b| a.max(b));
+        report.stall_ns = busy.iter().map(|&b| critical - b).sum();
+        let engine_ns = critical + serial_extra;
         self.daemon_ns += engine_ns;
         self.advance_tco(engine_ns);
         report.cost_ns = engine_ns + tail_ns;
         report.regions_moved = entry_moved.iter().filter(|&&m| m).count() as u64;
         report.faults = self.fault_counters.since(faults_before);
 
-        // Record the plan into the metrics registry. Per-batch sinks merge
-        // in batch-identity order (destination first-appearance order in
-        // the plan), so the registry — like the report — is bit-identical
-        // at any worker count; only span wall-clocks vary, and those stay
-        // out of the snapshot artifact by construction.
+        // Record the plan into the metrics registry. Like the report, it is
+        // bit-identical at any worker count; only span wall-clocks vary, and
+        // those stay out of the snapshot artifact by construction.
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.inc("migrate.plans");
             obs.add("migrate.pages_moved", report.moved);
@@ -1635,20 +1493,105 @@ impl TieredSystem {
             if !moves.is_empty() {
                 obs.observe("migrate.plan_cost_ns", report.cost_ns);
             }
-            for (b, (dest, jobs)) in batches.iter().enumerate() {
-                let scope = dest.to_string();
-                let sink = &results[b].1;
+            for (b, (_, pages)) in batches.iter().enumerate() {
                 obs.span_raw(
                     "migrate.batch",
-                    &scope,
-                    sink.wall_ns,
+                    &scopes[b],
+                    wall[b],
                     busy[b],
-                    &[("jobs", jobs.len() as f64)],
+                    &[("jobs", pages.len() as f64)],
                 );
-                obs.merge_sink(&scope, sink);
             }
         }
         report
+    }
+
+    /// Whether a page with residency `snap` can move to `dest` as a batched
+    /// page: a real-handle compressed source (not a same-filled marker)
+    /// toward another compressed tier, a DRAM or byte-tier source toward a
+    /// compressed tier, or a real-handle compressed source toward a byte
+    /// placement. Swapped sources need the single-writer swap device, and
+    /// same-filled and handle-less pages are pure bookkeeping: all cheap,
+    /// all serial.
+    fn batchable(snap: Residency, dest: Placement) -> bool {
+        match (snap, dest) {
+            (
+                Residency::Compressed {
+                    stored: Some(s), ..
+                },
+                Placement::Compressed(_),
+            ) => !s.is_same_filled(),
+            (Residency::Dram | Residency::Byte(_), Placement::Compressed(_)) => true,
+            (
+                Residency::Compressed {
+                    stored: Some(_),
+                    comp_len,
+                    ..
+                },
+                Placement::Dram | Placement::ByteTier(_),
+            ) => comp_len > 0,
+            _ => false,
+        }
+    }
+
+    /// Prepare one chunk of batched pages, split over `workers` contiguous
+    /// slices. Results come back in job order, each with the host
+    /// nanoseconds its prepare took.
+    fn prepare_chunk(
+        &self,
+        jobs: &[(u64, Residency, Placement)],
+        workers: usize,
+    ) -> Vec<(ZswapResult<Prepared>, u64)> {
+        let z = self
+            .zswap
+            .as_ref()
+            .expect("batched pages imply Real fidelity");
+        let (ids, wl) = (&self.zswap_ids[..], self.workload.as_ref());
+        let run = |slice: &[(u64, Residency, Placement)]| {
+            let mut scratch = vec![0u8; PAGE_SIZE];
+            slice
+                .iter()
+                .map(|&job| {
+                    let timer = SpanTimer::new();
+                    let prepared = prepare(z, ids, wl, job, &mut scratch);
+                    (prepared, timer.elapsed_ns())
+                })
+                .collect::<Vec<_>>()
+        };
+        if workers == 1 || jobs.len() < 2 {
+            return run(jobs);
+        }
+        // The calling thread prepares the first slice itself.
+        let (first, rest) = jobs.split_at(jobs.len().div_ceil(workers));
+        let run = &run;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .chunks(first.len())
+                .map(|slice| scope.spawn(move || run(slice)))
+                .collect();
+            let mut prepared = run(first);
+            for h in handles {
+                prepared.extend(h.join().expect("prepare worker panicked"));
+            }
+            prepared
+        })
+    }
+
+    /// Invalidate the destination copy a stale batched page's insert left
+    /// behind. Decompressed pages and failed inserts left nothing.
+    fn roll_back(&mut self, inserted: &ZswapResult<Inserted>) {
+        let (t, orphan) = match inserted {
+            Ok(Inserted::Stored {
+                t, stored: Some(s), ..
+            }) => (*t, *s),
+            Ok(Inserted::Migrated(t, out)) => (*t, out.stored),
+            _ => return,
+        };
+        self.zswap
+            .as_mut()
+            .expect("batched pages imply Real fidelity")
+            .invalidate(self.zswap_ids[t], orphan)
+            .expect("orphaned copy is live");
     }
 
     /// Charge extra daemon time (profiling, solver) to the tax account.

@@ -10,7 +10,7 @@
 //!   NVMM or CXL, not just wherever the kernel allocator happens to place
 //!   them.
 //! * **Multiple active tiers** — unlike stock Linux (one active pool),
-//!   any number of tiers coexist and accept stores concurrently; the caller
+//!   any number of tiers coexist and accept stores; the caller
 //!   addresses tiers explicitly (the kernel patch threads a `tier_id`
 //!   through `madvise()` and `struct page`).
 //! * **Inter-tier migration** — pages move between compressed tiers either
@@ -49,10 +49,9 @@ pub mod writeback;
 pub use config::{
     algo_compress_ns, algo_decompress_ns, algo_nominal_ratio, media_factor, TierConfig,
 };
-pub use tier::{CompressedTier, StoredPage, TierId, TierStats};
+pub use tier::{Compressed, CompressedTier, StoredPage, TierId, TierStats};
 pub use writeback::{SwapDevice, SwapSlot, WritebackEvent, WritebackQueue};
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 use ts_compress::CodecError;
 use ts_mem::{Machine, MediaKind};
@@ -108,17 +107,40 @@ pub struct MigrationOutcome {
     pub cost_ns: f64,
 }
 
+/// Modeled cost of migrating a same-filled marker: pure bookkeeping.
+const SAME_FILLED_MIGRATION_NS: f64 = 100.0;
+
+/// The pure half of an inter-tier migration, built by
+/// [`ZswapSubsystem::prepare_migration`] from `&self` and consumed by
+/// [`ZswapSubsystem::insert_migration`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MigrationCopy {
+    to: TierId,
+    source: StoredPage,
+    payload: Payload,
+    cost_ns: f64,
+}
+
+/// What a migration inserts into its destination tier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Payload {
+    /// A same-filled marker moves as bookkeeping only.
+    SameFilled,
+    /// Same algorithm on both sides: the source's compressed bytes as-is.
+    Fast(Vec<u8>),
+    /// Decompressed from the source, recompressed for the destination.
+    Recompressed(Compressed),
+}
+
 /// The multi-tier compressed memory subsystem.
 ///
-/// Each tier sits behind its own [`RwLock`] shard, so stores, loads and
-/// migrations touching *different* tiers proceed concurrently from `&self`
-/// — this is what lets the parallel migration engine run one worker per
-/// destination tier. Operations needing two tiers (migration) always take
-/// the locks in ascending tier-id order, so concurrent cross-tier
-/// migrations cannot deadlock.
+/// Every operation that changes a tier takes `&mut self`; the pure halves
+/// of a store or a migration ([`CompressedTier::compress`],
+/// [`ZswapSubsystem::prepare_migration`]) take `&self`, so callers can run
+/// those in parallel and apply the results serially.
 pub struct ZswapSubsystem {
     machine: Arc<Machine>,
-    tiers: Vec<RwLock<CompressedTier>>,
+    tiers: Vec<CompressedTier>,
 }
 
 impl ZswapSubsystem {
@@ -138,12 +160,12 @@ impl ZswapSubsystem {
     pub fn create_tier(&mut self, config: TierConfig) -> ZswapResult<TierId> {
         let id = TierId(self.tiers.len() as u32);
         let tier = CompressedTier::new(id, config, self.machine.clone())?;
-        self.tiers.push(RwLock::new(tier));
+        self.tiers.push(tier);
         Ok(id)
     }
 
-    /// All active tier shards (lock a shard to inspect its tier).
-    pub fn tiers(&self) -> &[RwLock<CompressedTier>] {
+    /// All active tiers, in tier-id order.
+    pub fn tiers(&self) -> &[CompressedTier] {
         &self.tiers
     }
 
@@ -154,33 +176,31 @@ impl ZswapSubsystem {
 
     /// Install a deterministic fault-injection plan on every tier (and
     /// each tier's pool). See [`CompressedTier::set_fault_plan`].
-    pub fn set_fault_plan(&self, plan: &Arc<ts_faults::FaultPlan>) {
-        for shard in &self.tiers {
-            shard.write().set_fault_plan(plan.clone());
+    pub fn set_fault_plan(&mut self, plan: &Arc<ts_faults::FaultPlan>) {
+        for tier in &mut self.tiers {
+            tier.set_fault_plan(plan.clone());
         }
     }
 
-    /// Read access to a tier by id.
+    /// A tier by id.
     ///
     /// # Errors
     ///
     /// [`ZswapError::NoSuchTier`] if out of range.
-    pub fn tier(&self, id: TierId) -> ZswapResult<RwLockReadGuard<'_, CompressedTier>> {
+    pub fn tier(&self, id: TierId) -> ZswapResult<&CompressedTier> {
         self.tiers
             .get(id.0 as usize)
-            .map(RwLock::read)
             .ok_or(ZswapError::NoSuchTier(id))
     }
 
-    /// Write access to a tier by id (one shard; does not block other tiers).
+    /// A tier by id, for writing.
     ///
     /// # Errors
     ///
     /// [`ZswapError::NoSuchTier`] if out of range.
-    pub fn tier_write(&self, id: TierId) -> ZswapResult<RwLockWriteGuard<'_, CompressedTier>> {
+    pub fn tier_mut(&mut self, id: TierId) -> ZswapResult<&mut CompressedTier> {
         self.tiers
-            .get(id.0 as usize)
-            .map(RwLock::write)
+            .get_mut(id.0 as usize)
             .ok_or(ZswapError::NoSuchTier(id))
     }
 
@@ -189,8 +209,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::store`].
-    pub fn store(&self, id: TierId, page: &[u8]) -> ZswapResult<StoredPage> {
-        self.tier_write(id)?.store(page)
+    pub fn store(&mut self, id: TierId, page: &[u8]) -> ZswapResult<StoredPage> {
+        self.tier_mut(id)?.store(page)
     }
 
     /// Fault a page out of tier `id` (decompress + invalidate).
@@ -198,8 +218,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::load`].
-    pub fn load(&self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        self.tier_write(id)?.load(stored)
+    pub fn load(&mut self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        self.tier_mut(id)?.load(stored)
     }
 
     /// Invalidate a stored page without decompressing.
@@ -207,8 +227,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::invalidate`].
-    pub fn invalidate(&self, id: TierId, stored: StoredPage) -> ZswapResult<()> {
-        self.tier_write(id)?.invalidate(stored)
+    pub fn invalidate(&mut self, id: TierId, stored: StoredPage) -> ZswapResult<()> {
+        self.tier_mut(id)?.invalidate(stored)
     }
 
     /// Migrate a page between two compressed tiers.
@@ -225,39 +245,25 @@ impl ZswapSubsystem {
     /// occur on the fast path but can on the recompress path (the caller
     /// should then place the page back uncompressed). On error the source
     /// page is left intact.
-    pub fn migrate(&self, from: TierId, to: TierId, stored: StoredPage) -> ZswapResult<StoredPage> {
+    pub fn migrate(
+        &mut self,
+        from: TierId,
+        to: TierId,
+        stored: StoredPage,
+    ) -> ZswapResult<StoredPage> {
         Ok(self.migrate_with_cost(from, to, stored)?.stored)
     }
 
-    /// Lock `from` and `to` for writing, always acquiring in ascending
-    /// tier-id order so concurrent migrations never deadlock.
-    fn lock_pair(
-        &self,
-        from: TierId,
-        to: TierId,
-    ) -> ZswapResult<(
-        RwLockWriteGuard<'_, CompressedTier>,
-        RwLockWriteGuard<'_, CompressedTier>,
-    )> {
-        debug_assert_ne!(from, to);
-        if from.0 < to.0 {
-            let f = self.tier_write(from)?;
-            let t = self.tier_write(to)?;
-            Ok((f, t))
-        } else {
-            let t = self.tier_write(to)?;
-            let f = self.tier_write(from)?;
-            Ok((f, t))
-        }
-    }
-
-    /// Like [`ZswapSubsystem::migrate`] but also reports path and cost.
+    /// Like [`ZswapSubsystem::migrate`] but also reports path and cost:
+    /// [`ZswapSubsystem::prepare_migration`], then
+    /// [`ZswapSubsystem::insert_migration`], then
+    /// [`ZswapSubsystem::release_source`].
     ///
     /// # Errors
     ///
     /// See [`ZswapSubsystem::migrate`].
     pub fn migrate_with_cost(
-        &self,
+        &mut self,
         from: TierId,
         to: TierId,
         stored: StoredPage,
@@ -269,186 +275,112 @@ impl ZswapSubsystem {
                 cost_ns: 0.0,
             });
         }
-        let (mut f, mut t) = self.lock_pair(from, to)?;
-        // Same-filled markers migrate for free: pure bookkeeping.
-        if stored.is_same_filled() {
-            f.release_same_filled();
-            let new = t.accept_same_filled(stored);
-            return Ok(MigrationOutcome {
-                stored: new,
-                fast_path: true,
-                cost_ns: 100.0,
-            });
-        }
-        let out = Self::copy_between(&f, &mut t, stored)?;
-        Self::release_source(&mut f, stored)?;
+        let copy = self.prepare_migration(from, to, stored)?;
+        let out = self.insert_migration(copy)?;
+        self.release_source(from, stored)?;
         Ok(out)
     }
 
-    /// Copy `stored` from tier `f` into tier `t` without touching the
-    /// source copy. Shared by [`ZswapSubsystem::migrate_with_cost`] (which
-    /// then invalidates the source immediately) and
-    /// [`ZswapSubsystem::migrate_copy`] (which defers invalidation).
+    /// The pure half of migrating `stored` from `from` to `to`: read the
+    /// source and, unless both tiers share an algorithm, recompress. Only
+    /// reads, so many migrations can be prepared in parallel.
     ///
-    /// The reported cost covers the *whole* migration — both the copy-in
-    /// and the eventual source-side release — so the deferred
-    /// [`ZswapSubsystem::finish_migration_out`] charges nothing extra.
-    fn copy_between(
-        f: &CompressedTier,
-        t: &mut CompressedTier,
+    /// # Errors
+    ///
+    /// [`ZswapError::NoSuchTier`], or pool/codec errors reading the source.
+    pub fn prepare_migration(
+        &self,
+        from: TierId,
+        to: TierId,
         stored: StoredPage,
-    ) -> ZswapResult<MigrationOutcome> {
-        if f.config().algorithm == t.config().algorithm {
+    ) -> ZswapResult<MigrationCopy> {
+        let (f, t) = (self.tier(from)?, self.tier(to)?);
+        let (payload, cost_ns) = if stored.is_same_filled() {
+            (Payload::SameFilled, SAME_FILLED_MIGRATION_NS)
+        } else if f.config().algorithm == t.config().algorithm {
             // Fast path: move compressed bytes directly.
             let compressed = f.peek_compressed(stored)?;
-            let new = t.store_precompressed(&compressed, stored.original_len)?;
+            let len = compressed.len() as u64;
             // Stream out + stream in + pool bookkeeping on both sides.
-            let cost_ns = f
-                .config()
-                .media
-                .default_spec()
-                .stream_ns(compressed.len() as u64)
-                + t.config()
-                    .media
-                    .default_spec()
-                    .stream_ns(compressed.len() as u64)
+            let cost_ns = f.config().media.default_spec().stream_ns(len)
+                + t.config().media.default_spec().stream_ns(len)
                 + f.config().pool.mgmt_overhead_ns()
                 + t.config().pool.mgmt_overhead_ns();
-            Ok(MigrationOutcome {
-                stored: new,
-                fast_path: true,
-                cost_ns,
-            })
+            (Payload::Fast(compressed), cost_ns)
         } else {
             // Naive path: decompress then recompress (paper's default).
-            let compressed = f.peek_compressed(stored)?;
-            let mut page = Vec::with_capacity(stored.original_len);
-            f.config()
-                .algorithm
-                .codec()
-                .decompress(&compressed, &mut page)
-                .map_err(ZswapError::Codec)?;
-            let new = t.store(&page)?;
-            t.bump_migrations_in();
-            let cost_ns =
-                f.fault_latency_ns(stored.compressed_len) + t.store_latency_ns(new.compressed_len);
-            Ok(MigrationOutcome {
-                stored: new,
-                fast_path: false,
-                cost_ns,
-            })
-        }
+            let recompressed = t.compress(&f.decompress(stored)?);
+            let new_len = match &recompressed {
+                Compressed::Bytes(b) => b.len(),
+                Compressed::SameFilled(_) | Compressed::Rejected(_) => 0,
+            };
+            let cost_ns = f.fault_latency_ns(stored.compressed_len) + t.store_latency_ns(new_len);
+            (Payload::Recompressed(recompressed), cost_ns)
+        };
+        Ok(MigrationCopy {
+            to,
+            source: stored,
+            payload,
+            cost_ns,
+        })
     }
 
-    /// Drop the source copy after a successful migration copy.
-    fn release_source(f: &mut CompressedTier, stored: StoredPage) -> ZswapResult<()> {
+    /// The stateful half of a migration: store a prepared copy into its
+    /// destination tier. The source copy stays live until
+    /// [`ZswapSubsystem::release_source`]. The reported cost covers the
+    /// whole migration, release included.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::insert`].
+    pub fn insert_migration(&mut self, copy: MigrationCopy) -> ZswapResult<MigrationOutcome> {
+        let t = self.tier_mut(copy.to)?;
+        let len = copy.source.original_len;
+        let (stored, fast_path) = match copy.payload {
+            Payload::SameFilled => (t.accept_same_filled(copy.source), true),
+            Payload::Fast(bytes) => (t.store_precompressed(&bytes, len)?, true),
+            Payload::Recompressed(page) => {
+                let stored = t.insert(page, len)?;
+                t.bump_migrations_in();
+                (stored, false)
+            }
+        };
+        Ok(MigrationOutcome {
+            stored,
+            fast_path,
+            cost_ns: copy.cost_ns,
+        })
+    }
+
+    /// Drop the source copy of a migrated page and count the migration
+    /// out of tier `from`.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::invalidate`].
+    pub fn release_source(&mut self, from: TierId, stored: StoredPage) -> ZswapResult<()> {
+        let f = self.tier_mut(from)?;
         f.invalidate(stored)?;
         f.note_migration_out();
         Ok(())
     }
 
-    /// Copy phase of a deferred two-phase migration: store the page into
-    /// `to` while leaving `from`'s copy intact. The caller must later call
-    /// [`ZswapSubsystem::finish_migration_out`] (or
-    /// [`ZswapSubsystem::invalidate`] on rollback) exactly once for the
-    /// source copy.
-    ///
-    /// Takes only a *read* lock on the source tier, so parallel migration
-    /// workers whose batches pull from the same source tier can copy
-    /// concurrently; the destination tier is write-locked. Locks are
-    /// acquired in ascending tier-id order, so concurrent cross-tier
-    /// copies cannot deadlock against each other or against
-    /// [`ZswapSubsystem::migrate`].
-    ///
-    /// Same-filled markers are not supported here (they are pure
-    /// bookkeeping with no copy phase); route them through
-    /// [`ZswapSubsystem::migrate_with_cost`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ZswapSubsystem::migrate`].
-    pub fn migrate_copy(
-        &self,
-        from: TierId,
-        to: TierId,
-        stored: StoredPage,
-    ) -> ZswapResult<MigrationOutcome> {
-        debug_assert_ne!(from, to);
-        debug_assert!(
-            !stored.is_same_filled(),
-            "same-filled pages migrate via migrate_with_cost"
-        );
-        // Mixed read/write acquisition, still in ascending tier-id order.
-        let (fg, mut tg);
-        if from.0 < to.0 {
-            fg = self.tier(from)?;
-            tg = self.tier_write(to)?;
-        } else {
-            tg = self.tier_write(to)?;
-            fg = self.tier(from)?;
-        }
-        Self::copy_between(&fg, &mut tg, stored)
-    }
-
-    /// Completion phase of a deferred two-phase migration: invalidate the
-    /// source copy left behind by [`ZswapSubsystem::migrate_copy`] and
-    /// record the migration-out in the source tier's stats. Charges no
-    /// additional cost — [`ZswapSubsystem::migrate_copy`] already accounted
-    /// for the full migration.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressedTier::invalidate`].
-    pub fn finish_migration_out(&self, from: TierId, stored: StoredPage) -> ZswapResult<()> {
-        let mut f = self.tier_write(from)?;
-        Self::release_source(&mut f, stored)
-    }
-
-    /// Decompress a stored page *without* invalidating it — the read-only
-    /// copy-out used by the parallel engine when faulting a compressed page
-    /// toward DRAM or a byte tier (the source entry is invalidated later,
-    /// serially). Unlike [`ZswapSubsystem::load`], this takes only a read
-    /// lock and does not touch fault statistics or the pool.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressedTier::load`].
-    pub fn fault_copy(&self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        let t = self.tier(id)?;
-        if let Some(byte) = stored.same_filled {
-            return Ok(vec![byte; stored.original_len]);
-        }
-        let compressed = t.peek_compressed(stored)?;
-        let mut page = Vec::with_capacity(stored.original_len);
-        t.config()
-            .algorithm
-            .codec()
-            .decompress(&compressed, &mut page)
-            .map_err(ZswapError::Codec)?;
-        Ok(page)
-    }
-
     /// Sum of TCO attributable to all tiers.
     pub fn total_tco_cost(&self) -> f64 {
-        self.tiers.iter().map(|t| t.read().tco_cost()).sum()
+        self.tiers.iter().map(CompressedTier::tco_cost).sum()
     }
 
     /// Total pages stored across all tiers.
     pub fn total_pages(&self) -> u64 {
-        self.tiers.iter().map(|t| t.read().stats().pages).sum()
+        self.tiers.iter().map(|t| t.stats().pages).sum()
     }
 
     /// One observability row per tier, in tier-id order: the tier's own
-    /// statistics plus its pool's. Taking all rows under one pass gives
-    /// deterministic ordering for metrics snapshots (ts-obs); each tier is
-    /// read-locked only briefly and independently.
+    /// statistics plus its pool's, for metrics snapshots (ts-obs).
     pub fn obs_snapshot(&self) -> Vec<(TierStats, ts_zpool::PoolStats)> {
         self.tiers
             .iter()
-            .map(|t| {
-                let g = t.read();
-                (g.stats(), g.pool_stats())
-            })
+            .map(|t| (t.stats(), t.pool_stats()))
             .collect()
     }
 
@@ -460,10 +392,9 @@ impl ZswapSubsystem {
 
 impl std::fmt::Debug for ZswapSubsystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tiers: Vec<_> = self.tiers.iter().map(|t| t.read()).collect();
         let mut dbg = f.debug_struct("ZswapSubsystem");
-        for (i, t) in tiers.iter().enumerate() {
-            dbg.field(&format!("tier{i}"), &**t);
+        for (i, t) in self.tiers.iter().enumerate() {
+            dbg.field(&format!("tier{i}"), t);
         }
         dbg.finish()
     }
@@ -675,7 +606,7 @@ mod tests {
 
     #[test]
     fn unknown_tier_errors() {
-        let z = ZswapSubsystem::new(machine());
+        let mut z = ZswapSubsystem::new(machine());
         let bogus = TierId(9);
         assert!(matches!(
             z.store(bogus, &page(0)),

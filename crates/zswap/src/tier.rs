@@ -3,7 +3,7 @@
 use crate::config::TierConfig;
 use crate::{ZswapError, ZswapResult};
 use std::sync::Arc;
-use ts_compress::Codec;
+use ts_compress::{Codec, CodecError};
 use ts_mem::{Machine, NodeId, PAGE_SIZE};
 use ts_zpool::{Handle, PoolError, PoolStats, ZPool};
 
@@ -68,6 +68,18 @@ fn same_filled_value(page: &[u8]) -> Option<u8> {
     page.iter().all(|&b| b == first).then_some(first)
 }
 
+/// The pure half of a store: [`CompressedTier::compress`] output, consumed
+/// by [`CompressedTier::insert`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Compressed {
+    /// Every byte of the page is this value: stored as a marker.
+    SameFilled(u8),
+    /// The codec's output.
+    Bytes(Vec<u8>),
+    /// The codec refused the page (incompressible, or a codec error).
+    Rejected(CodecError),
+}
+
 /// One active compressed tier.
 pub struct CompressedTier {
     id: TierId,
@@ -109,8 +121,8 @@ impl CompressedTier {
 
     /// Install a deterministic fault-injection plan on this tier and its
     /// pool. Store decisions are keyed by the tier/pool store counters,
-    /// which are single-writer under the parallel migration engine, so a
-    /// fixed seed gives the same faults at any worker count.
+    /// which only the serial insert step advances, so a fixed seed gives
+    /// the same faults at any worker count.
     pub fn set_fault_plan(&mut self, plan: Arc<ts_faults::FaultPlan>) {
         // Distinct per-tier salts keep pools drawing independently.
         self.pool
@@ -143,7 +155,8 @@ impl CompressedTier {
         self.pool.stats()
     }
 
-    /// Compress and store a page.
+    /// Compress and store a page: [`CompressedTier::insert`] of
+    /// [`CompressedTier::compress`], the one store path.
     ///
     /// # Errors
     ///
@@ -151,37 +164,64 @@ impl CompressedTier {
     /// rejection rule — the caller must keep the page uncompressed);
     /// [`ZswapError::Pool`] on pool failures (e.g. backing node exhausted).
     pub fn store(&mut self, page: &[u8]) -> ZswapResult<StoredPage> {
+        let compressed = self.compress(page);
+        self.insert(compressed, page.len())
+    }
+
+    /// The pure half of a store: apply this tier's codec to `page`. Reads
+    /// nothing but the codec, so any number of pages can be compressed in
+    /// parallel from `&self`.
+    pub fn compress(&self, page: &[u8]) -> Compressed {
         debug_assert!(page.len() <= PAGE_SIZE);
-        // Same-filled fast path (kernel zswap): no compression, no pool.
         if let Some(v) = same_filled_value(page) {
-            self.stats.pages += 1;
-            self.stats.stores += 1;
-            self.stats.same_filled += 1;
-            return Ok(StoredPage {
-                handle: Handle(u64::MAX),
-                compressed_len: 0,
-                original_len: page.len(),
-                same_filled: Some(v),
-            });
-        }
-        if let Some(plan) = &self.faults {
-            // Keyed by this tier's store count (single-writer in phase A):
-            // deterministic for a fixed seed at any worker count.
-            let key = (u64::from(self.id.0) << 40) ^ self.stats.stores;
-            if plan.trips(ts_faults::FaultSite::ZswapStore, key) {
-                self.stats.compress_failures += 1;
-                return Err(ZswapError::CompressFailed);
-            }
+            return Compressed::SameFilled(v);
         }
         let mut buf = Vec::with_capacity(page.len());
         match self.codec.compress(page, &mut buf) {
-            Ok(_) => {}
-            Err(ts_compress::CodecError::Incompressible { .. }) => {
+            Ok(_) => Compressed::Bytes(buf),
+            Err(e) => Compressed::Rejected(e),
+        }
+    }
+
+    /// The stateful half of a store: put a [`CompressedTier::compress`]
+    /// result for a page of `original_len` bytes into the pool. Fault
+    /// draws, pool allocation and statistics all happen here.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::store`]; [`ZswapError::CompressFailed`] when
+    /// an installed fault plan trips.
+    pub fn insert(&mut self, page: Compressed, original_len: usize) -> ZswapResult<StoredPage> {
+        let buf = match page {
+            // Same-filled fast path (kernel zswap): no compression, no pool.
+            Compressed::SameFilled(v) => {
+                self.stats.pages += 1;
+                self.stats.stores += 1;
+                self.stats.same_filled += 1;
+                return Ok(StoredPage {
+                    handle: Handle(u64::MAX),
+                    compressed_len: 0,
+                    original_len,
+                    same_filled: Some(v),
+                });
+            }
+            // Keyed by this tier's store count, which only this serial
+            // step advances: deterministic for a fixed seed.
+            _ if self.faults.as_ref().is_some_and(|plan| {
+                let key = (u64::from(self.id.0) << 40) ^ self.stats.stores;
+                plan.trips(ts_faults::FaultSite::ZswapStore, key)
+            }) =>
+            {
+                self.stats.compress_failures += 1;
+                return Err(ZswapError::CompressFailed);
+            }
+            Compressed::Bytes(buf) => buf,
+            Compressed::Rejected(CodecError::Incompressible { .. }) => {
                 self.stats.rejections += 1;
                 return Err(ZswapError::Incompressible);
             }
-            Err(e) => return Err(ZswapError::Codec(e)),
-        }
+            Compressed::Rejected(e) => return Err(ZswapError::Codec(e)),
+        };
         let handle = self.pool.store(&buf).map_err(ZswapError::Pool)?;
         self.stats.pages += 1;
         self.stats.compressed_bytes += buf.len() as u64;
@@ -189,7 +229,7 @@ impl CompressedTier {
         Ok(StoredPage {
             handle,
             compressed_len: buf.len(),
-            original_len: page.len(),
+            original_len,
             same_filled: None,
         })
     }
@@ -202,23 +242,31 @@ impl CompressedTier {
     /// [`ZswapError::Pool`] for stale handles, [`ZswapError::Codec`] if the
     /// stored bytes fail to decompress (corruption).
     pub fn load(&mut self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        let page = self.decompress(stored)?;
+        if !stored.is_same_filled() {
+            self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
+            self.stats.compressed_bytes -= stored.compressed_len as u64;
+        }
+        self.stats.pages -= 1;
+        self.stats.faults += 1;
+        Ok(page)
+    }
+
+    /// Decompress the page behind `stored` without invalidating it or
+    /// touching statistics (the read half of [`CompressedTier::load`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::load`].
+    pub fn decompress(&self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
         if let Some(v) = stored.same_filled {
-            self.stats.pages -= 1;
-            self.stats.faults += 1;
             return Ok(vec![v; stored.original_len]);
         }
-        let mut compressed = Vec::with_capacity(stored.compressed_len);
-        self.pool
-            .load(stored.handle, &mut compressed)
-            .map_err(ZswapError::Pool)?;
+        let compressed = self.peek_compressed(stored)?;
         let mut page = Vec::with_capacity(stored.original_len);
         self.codec
             .decompress(&compressed, &mut page)
             .map_err(ZswapError::Codec)?;
-        self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
-        self.stats.pages -= 1;
-        self.stats.compressed_bytes -= stored.compressed_len as u64;
-        self.stats.faults += 1;
         Ok(page)
     }
 
@@ -273,13 +321,6 @@ impl CompressedTier {
         self.stats.same_filled += 1;
         self.stats.migrations_in += 1;
         stored
-    }
-
-    /// Release a same-filled marker (source side of a migration).
-    pub(crate) fn release_same_filled(&mut self) {
-        self.stats.pages -= 1;
-        self.stats.same_filled -= 1;
-        self.stats.migrations_out += 1;
     }
 
     /// Drop a stored page without decompressing (invalidation, e.g. the

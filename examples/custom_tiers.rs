@@ -100,8 +100,7 @@ fn main() {
 
     // Per-tier accounting.
     println!("\ntier    pages  comp_MB  pool_MB  eff_ratio  tco($)");
-    for shard in zswap.tiers() {
-        let t = shard.read();
+    for t in zswap.tiers() {
         let st = t.stats();
         let ps = t.pool_stats();
         println!(

@@ -21,7 +21,7 @@ fn usage() -> ! {
          \x20 tierscape-cli run [--workload NAME] [--policy am|waterfall|hemem|gswap|tmo]\n\
          \x20                   [--alpha A] [--threshold PCT] [--setup standard|spectrum]\n\
          \x20                   [--windows N] [--accesses N] [--scale-div D] [--seed S]\n\
-         \x20                   [--content-aware] [--prefetch] [--real]\n\
+         \x20                   [--compute-ns NS] [--content-aware] [--prefetch] [--real]\n\
          \x20                   [--migration-workers N]  (0 = all host cores; results\n\
          \x20                    are bit-identical for every worker count)\n\
          \x20                   [--fault-rate R] [--fault-seed S] [--fault-plan FILE]\n\
@@ -32,31 +32,73 @@ fn usage() -> ! {
          \x20                   [--metrics-out FILE]   (deterministic metrics JSON)\n\
          \x20                   [--trace-out FILE]     (span trace JSONL, wall-clock)\n\
          \x20                   [--metrics-summary]    (human-readable metrics table)\n\
-         \x20 tierscape-cli advise [--workload NAME] [--tiers K]\n\
+         \x20 tierscape-cli advise [--workload NAME] [--tiers K] [--seed S]\n\
+         \x20                      [--scale-div D] [--accesses N]\n\
          \x20 tierscape-cli characterize\n"
     );
     std::process::exit(2);
 }
 
-struct Args(Vec<String>);
+/// Report a command-line error and exit with code 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("tierscape-cli: {msg} (run `tierscape-cli` for usage)");
+    std::process::exit(2);
+}
+
+/// Flags that take a value (space-separated), per command.
+const RUN_VALUES: &str = "--workload --policy --alpha --threshold --setup --windows --accesses \
+    --scale-div --seed --compute-ns --migration-workers --fault-rate --fault-seed --fault-plan \
+    --plan-cache --metrics-out --trace-out";
+const ADVISE_VALUES: &str = "--workload --tiers --seed --scale-div --accesses";
+/// Flags without a value, per command.
+const RUN_SWITCHES: &str = "--content-aware --prefetch --real --metrics-summary";
+
+/// A command's arguments, checked against the flags it accepts: each
+/// value flag paired with its value, each switch with `None`.
+struct Args(Vec<(String, Option<String>)>);
 
 impl Args {
+    /// Pair up `argv` against the command's flags. An unknown argument or
+    /// a value flag without its value exits with code 2.
+    fn new(argv: &[String], values: &str, switches: &str) -> Args {
+        let mut parsed = Vec::new();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            let value = if values.split_whitespace().any(|f| f == arg) {
+                let v = it
+                    .next()
+                    .unwrap_or_else(|| fail(&format!("{arg} needs a value")));
+                Some(v.clone())
+            } else if switches.split_whitespace().any(|f| f == arg) {
+                None
+            } else {
+                fail(&format!("unknown argument '{arg}'"))
+            };
+            parsed.push((arg.clone(), value));
+        }
+        Args(parsed)
+    }
+
     fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.0.iter().any(|(a, _)| a == name)
     }
 
     fn value(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+            .find(|(a, _)| a == name)
+            .and_then(|(_, v)| v.as_deref())
     }
 
+    /// The value of `name` parsed as `T`, or `default` when absent. A value
+    /// that does not parse exits with code 2.
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.value(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| fail(&format!("invalid value '{v}' for {name}"))),
+        }
     }
 }
 
@@ -66,8 +108,9 @@ fn workload_of(args: &Args) -> WorkloadId {
         .into_iter()
         .find(|w| w.name() == name)
         .unwrap_or_else(|| {
-            eprintln!("unknown workload '{name}' (try `tierscape-cli list`)");
-            std::process::exit(2);
+            fail(&format!(
+                "unknown workload '{name}' (try `tierscape-cli list`)"
+            ))
         })
 }
 
@@ -103,10 +146,7 @@ fn cmd_run(args: &Args) {
     let cfg = match setup {
         "spectrum" => SimConfig::spectrum(rss, fidelity, seed),
         "standard" => SimConfig::standard_mix(rss, fidelity, seed),
-        other => {
-            eprintln!("unknown setup '{other}'");
-            std::process::exit(2);
-        }
+        other => fail(&format!("unknown setup '{other}'")),
     }
     .with_compute_ns(args.parse("--compute-ns", 200.0));
     let mut system = TieredSystem::new(cfg, workload).expect("valid configuration");
@@ -125,10 +165,7 @@ fn cmd_run(args: &Args) {
         "hemem" => Box::new(ThresholdPolicy::hemem(threshold)),
         "gswap" => Box::new(ThresholdPolicy::gswap(threshold)),
         "tmo" => Box::new(ThresholdPolicy::tmo(threshold, 1)),
-        other => {
-            eprintln!("unknown policy '{other}'");
-            std::process::exit(2);
-        }
+        other => fail(&format!("unknown policy '{other}'")),
     };
     let mut policy: Box<dyn PlacementPolicy> = if args.flag("--prefetch") {
         Box::new(PrefetchingPolicy::new(BoxedPolicy(base)))
@@ -148,21 +185,18 @@ fn cmd_run(args: &Args) {
     let fault_rate: f64 = args.parse("--fault-rate", 0.0);
     let fault_seed: u64 = args.parse("--fault-seed", seed);
     if let Some(path) = args.value("--fault-plan") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read fault plan '{path}': {e}");
-            std::process::exit(2);
-        });
-        dcfg.fault_plan = Some(FaultPlan::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }));
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read fault plan '{path}': {e}")));
+        dcfg.fault_plan =
+            Some(FaultPlan::from_json(&text).unwrap_or_else(|e| fail(&e.to_string())));
     } else if fault_rate > 0.0 {
         dcfg.fault_plan = Some(FaultPlan::uniform(fault_seed, fault_rate));
     }
     if let Some(mode) = args.value("--plan-cache") {
         dcfg.plan_cache = PlanCacheMode::parse(mode).unwrap_or_else(|| {
-            eprintln!("unknown --plan-cache '{mode}' (expected off, warm or reuse)");
-            std::process::exit(2);
+            fail(&format!(
+                "unknown --plan-cache '{mode}' (expected off, warm or reuse)"
+            ))
         });
     }
     let metrics_out = args.value("--metrics-out").map(String::from);
@@ -330,12 +364,18 @@ fn main() {
     let Some(cmd) = argv.first().map(|s| s.as_str()) else {
         usage()
     };
-    let args = Args(argv[1..].to_vec());
+    let rest = &argv[1..];
     match cmd {
-        "list" => cmd_list(),
-        "run" => cmd_run(&args),
-        "advise" => cmd_advise(&args),
-        "characterize" => cmd_characterize(),
+        "list" => {
+            Args::new(rest, "", "");
+            cmd_list()
+        }
+        "run" => cmd_run(&Args::new(rest, RUN_VALUES, RUN_SWITCHES)),
+        "advise" => cmd_advise(&Args::new(rest, ADVISE_VALUES, "")),
+        "characterize" => {
+            Args::new(rest, "", "");
+            cmd_characterize()
+        }
         _ => usage(),
     }
 }

@@ -1,9 +1,9 @@
-//! The parallel migration engine's determinism guarantee: with a fixed
-//! seed, a daemon run produces a bit-identical [`RunReport`] for *any*
-//! `migration_workers` setting. The engine merges phase-A results by batch
-//! identity (never completion order) and charges closed-form costs, so the
-//! worker count may only change how fast the host executes a window plan —
-//! never what the plan does to the system.
+//! The migration engine's determinism guarantee: with a fixed seed, a daemon
+//! run produces a bit-identical [`RunReport`] for *any* `migration_workers`
+//! setting. Worker threads only prepare pages (pure compression work);
+//! every insert and commit runs serially in an order fixed by the plan, and
+//! costs are closed-form, so the worker count may only change how fast the
+//! host executes a window plan — never what the plan does to the system.
 
 use tierscape::core::prelude::*;
 use tierscape::sim::{Fidelity, SimConfig, TieredSystem};
@@ -184,9 +184,9 @@ fn analytical_identical_across_worker_counts_every_workload() {
 
 #[test]
 fn real_fidelity_identical_across_worker_counts() {
-    // Real codecs and real pools: phase A does real compression work on
-    // the worker threads, and the handles it produces feed phase B. The
-    // aggressive knob guarantees multi-destination plans (several batches).
+    // Real codecs and real pools: batched pages are compressed on the
+    // worker threads, then inserted and committed serially. The aggressive
+    // knob guarantees multi-destination plans (several batches).
     assert_workers_invariant(
         Fidelity::Real,
         &|| Box::new(AnalyticalModel::new(0.05)),
@@ -201,7 +201,7 @@ fn fault_injection_identical_across_worker_counts() {
     // still give bit-identical reports *and fault counters* at any
     // worker count: sim-level draws happen on serial paths keyed by a
     // nonce, and zswap/zpool draws are keyed by per-tier store counters
-    // that are single-writer in phase A.
+    // that only the serial insert step advances.
     let plan = FaultPlan::uniform(99, 0.05);
     for (fidelity, accesses) in [(Fidelity::Modeled, 20_000), (Fidelity::Real, 8_000)] {
         for &wl in &[WorkloadId::MemcachedYcsb, WorkloadId::Bfs] {
@@ -339,5 +339,187 @@ fn execute_plan_report_is_worker_invariant() {
             base_sys.daemon_ns().to_bits(),
             "workers={workers}: daemon_ns"
         );
+    }
+}
+
+/// Report fields and end state of one `execute_plan` call.
+fn plan_outcome(sys: &TieredSystem, rep: &tierscape::sim::MigrationReport) -> String {
+    format!(
+        "moved {} rejected {} regions {} batches {} cost {:#x} stall {:#x} \
+         placements {:?} tco {:#x} daemon {:#x}",
+        rep.moved,
+        rep.rejected,
+        rep.regions_moved,
+        rep.batches,
+        rep.cost_ns.to_bits(),
+        rep.stall_ns.to_bits(),
+        sys.placement_counts(),
+        sys.current_tco().to_bits(),
+        sys.daemon_ns().to_bits()
+    )
+}
+
+#[test]
+fn stale_snapshot_rolls_back_orphaned_copies() {
+    // Region B goes into CT-1 first, so its pages head CT-1's writeback
+    // queue, and CT-1's pool limit is set to about B's size. Then one plan
+    // moves A (DRAM→CT-1) and B (CT-1→CT-2). Both are batched: B's copies
+    // land in CT-2 at insert time, before any commit. A's first commit
+    // pushes CT-1 over its limit and writes B's pages back to swap, so B's
+    // batched copies are stale: they must be rolled back, and B must move
+    // from swap through the serial path.
+    use tierscape::sim::{Placement, PlannedMove};
+    const A: u64 = 0;
+    const B: u64 = 1;
+    let into_ct1 = [PlannedMove {
+        region: B,
+        dest: Placement::Compressed(0),
+    }];
+    let b_pool_bytes = {
+        let mut sys = standard_system(WorkloadId::MemcachedYcsb, Fidelity::Real, 5);
+        sys.execute_plan(&into_ct1, 1);
+        sys.tier_pool_bytes(0)
+    };
+    let plan = [
+        PlannedMove {
+            region: A,
+            dest: Placement::Compressed(0),
+        },
+        PlannedMove {
+            region: B,
+            dest: Placement::Compressed(1),
+        },
+    ];
+    let run = |workers: usize| {
+        let w = WorkloadId::MemcachedYcsb.build(Scale::TEST, 5);
+        let mut cfg = SimConfig::standard_mix(w.rss_bytes(), Fidelity::Real, 5);
+        cfg.pool_limits = vec![Some(b_pool_bytes), None];
+        let mut sys = TieredSystem::new(cfg, w).expect("standard mix is valid");
+        let before = sys.execute_plan(&into_ct1, workers);
+        assert_eq!(sys.swapped_pages(), 0, "B alone fits under the limit");
+        assert!(before.moved > 0);
+        let rep = sys.execute_plan(&plan, workers);
+        (sys, rep)
+    };
+
+    let (sys, rep) = run(1);
+    assert_eq!(rep.batches, 2, "A and B are both batched");
+    let z = sys.zswap().expect("real fidelity");
+    let ct2 = z.tiers()[1].stats();
+    assert!(
+        ct2.stores > ct2.pages,
+        "the rollback ran: {} copies inserted into CT-2, {} kept",
+        ct2.stores,
+        ct2.pages
+    );
+    assert_eq!(
+        sys.region_placement(B),
+        Placement::Compressed(1),
+        "B still moved, from swap"
+    );
+    assert_eq!(
+        z.total_pages(),
+        sys.compressed_pages(),
+        "no orphaned copy is left in zswap"
+    );
+    assert_eq!(
+        sys.placement_counts().iter().sum::<u64>(),
+        sys.total_pages(),
+        "page count is conserved"
+    );
+    let base = plan_outcome(&sys, &rep);
+    for workers in [2, 8] {
+        let (sys, rep) = run(workers);
+        assert_eq!(plan_outcome(&sys, &rep), base, "workers={workers}");
+    }
+}
+
+/// A fan-out policy for the capacity-edge test: every window sends each
+/// region to CT-1, CT-2 or DRAM in rotation, so every plan targets both
+/// compressed tiers.
+struct Rotating(u64);
+
+impl PlacementPolicy for Rotating {
+    fn name(&self) -> String {
+        "rotating".into()
+    }
+
+    fn plan(
+        &mut self,
+        _snapshot: &tierscape::telemetry::HotnessSnapshot,
+        system: &TieredSystem,
+    ) -> Vec<PlanEntry> {
+        use tierscape::sim::Placement;
+        const DESTS: [Placement; 3] = [
+            Placement::Compressed(0),
+            Placement::Compressed(1),
+            Placement::Dram,
+        ];
+        self.0 += 1;
+        (0..system.total_regions())
+            .map(|region| PlanEntry {
+                region,
+                dest: DESTS[((region + self.0) % 3) as usize],
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn real_fidelity_identical_at_node_capacity_edge() {
+    // Both compressed tiers draw pool frames from one small NVMM node, so
+    // it fills partway through plans that store into both. Inserts run
+    // serially in batch order, so which store hits the wall first is fixed
+    // by the plan, never by the worker count. A zero-rate fault plan turns
+    // genuine pool exhaustion into counted `pool_alloc` events (and the
+    // waterfall retry) without injecting anything.
+    use tierscape::compress::Algorithm;
+    use tierscape::mem::MediaKind;
+    use tierscape::zpool::PoolKind;
+    use tierscape::zswap::TierConfig;
+
+    let run = |workers: usize| {
+        let w = WorkloadId::MemcachedYcsb.build(Scale::TEST, 3);
+        let rss = w.rss_bytes();
+        let mut cfg = SimConfig::standard_mix(rss, Fidelity::Real, 3);
+        cfg.byte_tiers = vec![(MediaKind::Nvmm, rss / 4)];
+        cfg.compressed_tiers = vec![
+            TierConfig::new(Algorithm::Lz4, PoolKind::Zsmalloc, MediaKind::Nvmm),
+            TierConfig::new(Algorithm::Zstd, PoolKind::Zbud, MediaKind::Nvmm),
+        ];
+        let mut system = TieredSystem::new(cfg, w).expect("valid configuration");
+        let cfg = DaemonConfig {
+            windows: 4,
+            window_accesses: 8_000,
+            migration_workers: workers,
+            fault_plan: Some(FaultPlan::disabled(3)),
+            obs: ObsConfig::enabled(),
+            ..DaemonConfig::default()
+        };
+        run_daemon(&mut system, &mut Rotating(0), &cfg)
+    };
+
+    let base = run(1);
+    let obs = base.obs.as_ref().expect("obs enabled");
+    let first = &base.windows[0];
+    assert!(first.faults.pool_alloc > 0, "the node fills in window 1");
+    assert!(
+        first.actual[2] > 0 && first.actual[3] > 0,
+        "both tiers took pages before it filled: {:?}",
+        first.actual
+    );
+    let batches = obs
+        .spans()
+        .iter()
+        .filter(|s| s.window == first.window && s.name == "migrate.batch")
+        .count();
+    assert_eq!(batches, 2, "window 1 batched into both compressed tiers");
+    let base_snap = obs.snapshot_json();
+    for workers in [2, 8] {
+        let other = run(workers);
+        let label = format!("capacity edge workers=1 vs {workers}");
+        assert_identical(&base, &other, &label);
+        let snap = other.obs.as_ref().expect("obs enabled").snapshot_json();
+        assert_eq!(base_snap, snap, "{label}: metrics artifact diverged");
     }
 }
