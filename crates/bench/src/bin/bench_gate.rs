@@ -17,18 +17,38 @@
 //! modeled rows (present now, absent from the baseline) warn and pass —
 //! they start gating once `scripts/update-bench-baseline.sh` lands them.
 
-use serde::{Deserialize, Serialize};
+use ts_obs::json::{self, Value};
 
 /// Allowed relative increase of a modeled row before the gate fails.
 const MAX_REGRESSION: f64 = 0.15;
 
 /// One benchmark row, as written by the criterion shim's `finalize`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Row {
     name: String,
     mean_ns: f64,
     best_ns: f64,
-    samples: usize,
+    samples: u64,
+}
+
+impl Row {
+    fn from_json(v: &Value) -> Option<Row> {
+        Some(Row {
+            name: v.get("name")?.as_str()?.to_string(),
+            mean_ns: v.get("mean_ns")?.as_f64()?,
+            best_ns: v.get("best_ns")?.as_f64()?,
+            samples: v.get("samples")?.as_u64()?,
+        })
+    }
+
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("name", Value::Str(self.name.clone())),
+            ("mean_ns", Value::Float(self.mean_ns)),
+            ("best_ns", Value::Float(self.best_ns)),
+            ("samples", Value::Int(self.samples)),
+        ])
+    }
 }
 
 fn read_rows(path: &str) -> Vec<Row> {
@@ -36,8 +56,16 @@ fn read_rows(path: &str) -> Vec<Row> {
         eprintln!("bench_gate: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("bench_gate: {path} is not a bench artifact: {e}");
+    let rows = match json::parse(&text) {
+        Ok(Value::Array(items)) => items.iter().map(Row::from_json).collect(),
+        Ok(_) => None,
+        Err(e) => {
+            eprintln!("bench_gate: {path} is not JSON: {e}");
+            std::process::exit(2);
+        }
+    };
+    rows.unwrap_or_else(|| {
+        eprintln!("bench_gate: {path} is not an array of bench rows");
         std::process::exit(2);
     })
 }
@@ -121,7 +149,7 @@ fn cmd_merge(out_path: &str, in_paths: &[String]) -> ! {
     // are host-dependent and would churn the checked-in file on every regen.
     merged.retain(is_modeled);
     merged.sort_by(|a, b| a.name.cmp(&b.name));
-    let json = serde_json::to_string_pretty(&merged).expect("rows serialize");
+    let json = Value::Array(merged.iter().map(Row::to_json).collect()).to_pretty();
     std::fs::write(out_path, json + "\n").unwrap_or_else(|e| {
         eprintln!("bench_gate: cannot write {out_path}: {e}");
         std::process::exit(2);

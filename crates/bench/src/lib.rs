@@ -12,6 +12,7 @@
 //! can be re-run larger), and row formatting.
 
 use tierscape_core::prelude::*;
+use ts_obs::json::Value;
 use ts_sim::{Fidelity, SimConfig, TieredSystem};
 use ts_telemetry::TelemetryConfig;
 use ts_workloads::{Scale, WorkloadId};
@@ -180,41 +181,31 @@ pub fn header(title: &str, cols: &[&str]) {
 }
 
 /// Print one experiment row both human-readable and as a JSON line.
-pub fn row(values: &[(&str, serde_json::Value)]) {
+pub fn row(values: &[(&str, Value)]) {
     let human: Vec<String> = values
         .iter()
         .map(|(_, v)| match v {
-            serde_json::Value::Number(n) => {
-                if let Some(f) = n.as_f64() {
-                    if f.fract().abs() < 1e-12 && f.abs() < 1e15 {
-                        format!("{}", f as i64)
-                    } else {
-                        format!("{f:.3}")
-                    }
-                } else {
-                    n.to_string()
-                }
+            Value::Float(f) if f.fract().abs() < 1e-12 && f.abs() < 1e15 => {
+                format!("{}", *f as i64)
             }
-            serde_json::Value::String(s) => s.clone(),
+            Value::Float(f) => format!("{f:.3}"),
+            Value::Str(s) => s.clone(),
             other => other.to_string(),
         })
         .collect();
     println!("{}", human.join("\t"));
-    let obj: serde_json::Map<String, serde_json::Value> = values
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.clone()))
-        .collect();
-    println!("#json {}", serde_json::Value::Object(obj));
+    let obj = Value::object(values.iter().map(|(k, v)| (*k, v.clone())));
+    println!("#json {obj}");
 }
 
 /// Shorthand for numeric JSON values.
-pub fn num(v: f64) -> serde_json::Value {
-    serde_json::json!(v)
+pub fn num(v: f64) -> Value {
+    Value::Float(v)
 }
 
 /// Shorthand for string JSON values.
-pub fn s(v: impl Into<String>) -> serde_json::Value {
-    serde_json::Value::String(v.into())
+pub fn s(v: impl Into<String>) -> Value {
+    Value::Str(v.into())
 }
 
 /// Percent formatting helper (0.153 -> 15.3).

@@ -112,7 +112,8 @@ pub struct WindowRecord {
     pub migrations: u64,
     /// Migration cost in ns (daemon tax).
     pub migration_cost_ns: f64,
-    /// Solver cost in ns (zero when remote or profile-only).
+    /// Solver cost in ns: modeled solve time when local, the modeled
+    /// round trip when remote, zero when profile-only.
     pub solver_cost_ns: f64,
     /// Sum of cooled hotness over all regions (Fig. 9d trend).
     pub hotness_total: f64,

@@ -11,8 +11,8 @@
 //! * [`FaultPlan`] — per-site trip probabilities plus a seed. Every
 //!   trip decision is a pure function of `(seed, site, key)`, so a run
 //!   is bit-identical for a fixed seed regardless of scheduling, worker
-//!   count, or wall-clock time. Plans round-trip through JSON via the
-//!   vendored serde shims.
+//!   count, or wall-clock time. Plans round-trip through JSON
+//!   ([`ts_obs::json`]); parsing is strict about fields and ranges.
 //! * [`FaultCounters`] — per-site counts of faults injected/handled,
 //!   surfaced in `MigrationReport`/`RunReport`.
 //! * [`TierError`] — the error taxonomy threaded through `ts-zpool`,
@@ -26,14 +26,14 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use ts_obs::json::{self, Value};
 
 /// Golden-ratio multiplier used to whiten per-draw keys before they are
 /// folded into the RNG seed (same constant as SplitMix64's increment).
 const KEY_WHITENER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A named fault-injection site in the tiering stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// `zswap::store`: the compressor fails on a page (distinct from the
     /// codec's own incompressible-data rejection).
@@ -130,7 +130,7 @@ impl std::error::Error for TierError {}
 /// nonce, or a per-tier/per-pool store count advanced only by serial inserts),
 /// which makes whole runs bit-identical for a fixed seed at any
 /// `migration_workers` count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed mixed into every trip decision.
     pub seed: u64,
@@ -217,21 +217,61 @@ impl FaultPlan {
         rng.random::<f64>() < rate
     }
 
-    /// Serialize the plan to pretty-printed JSON.
+    /// Whether `rate` is a valid trip probability: a finite value in
+    /// `[0, 1]`.
+    pub fn is_valid_rate(rate: f64) -> bool {
+        (0.0..=1.0).contains(&rate)
+    }
+
+    /// Serialize the plan to pretty-printed JSON: `seed` plus one rate per
+    /// site, keyed by [`FaultSite::name`].
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("plain-data plan serializes")
+        let rates = FaultSite::ALL.map(|s| (s.name(), Value::Float(self.rate(s))));
+        Value::object([("seed", Value::Int(self.seed))].into_iter().chain(rates)).to_pretty()
     }
 
     /// Parse a plan from JSON produced by [`FaultPlan::to_json`] (or
     /// written by hand with the same field names).
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, and any unknown, duplicate or missing field; a seed
+    /// that is not a non-negative integer; a rate outside `[0, 1]`. The
+    /// message names the field.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("invalid fault plan: {e:?}"))
+        let err = |msg: String| format!("invalid fault plan: {msg}");
+        let Value::Object(fields) = json::parse(s).map_err(err)? else {
+            return Err(err("expected a JSON object".into()));
+        };
+        if let Some(key) = fields
+            .keys()
+            .find(|k| *k != "seed" && !FaultSite::ALL.iter().any(|s| s.name() == *k))
+        {
+            return Err(err(format!("unknown field {key:?}")));
+        }
+        let field = |name: &str| {
+            fields
+                .get(name)
+                .ok_or_else(|| err(format!("missing field {name:?}")))
+        };
+        let seed = field("seed")?
+            .as_u64()
+            .ok_or_else(|| err("\"seed\" must be a non-negative integer".into()))?;
+        let mut plan = FaultPlan::disabled(seed);
+        for site in FaultSite::ALL {
+            let rate = field(site.name())?
+                .as_f64()
+                .filter(|&r| Self::is_valid_rate(r))
+                .ok_or_else(|| err(format!("{:?} must be a rate in [0, 1]", site.name())))?;
+            plan = plan.with_rate(site, rate);
+        }
+        Ok(plan)
     }
 }
 
 /// Per-site counts of faults injected (or, for genuine failures routed
 /// through the same degradation paths, handled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Faults at [`FaultSite::ZswapStore`].
     pub zswap_store: u64,
@@ -359,9 +399,12 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let p = FaultPlan::uniform(99, 0.25).with_rate(FaultSite::MigrationCopy, 0.5);
-        let back = FaultPlan::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
+        // Bit-exact, including seeds past 2^53 that an f64 would round.
+        for seed in [99, (1u64 << 53) + 1, u64::MAX] {
+            let p = FaultPlan::uniform(seed, 1.0 / 3.0).with_rate(FaultSite::MigrationCopy, 0.5);
+            let back = FaultPlan::from_json(&p.to_json()).unwrap();
+            assert_eq!(p, back);
+        }
         assert!(FaultPlan::from_json("{ not json").is_err());
     }
 

@@ -15,12 +15,12 @@
 //! }
 //! ```
 //!
-//! Parsing is a hand-rolled minimal JSON reader (objects / strings /
-//! numbers / arrays / literals) — this crate polices the dependency
-//! hygiene of the workspace and therefore takes no dependencies itself.
+//! Parsing goes through the workspace's one JSON module, [`ts_obs::json`];
+//! the writer keeps this file's own layout and shares its escaper.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use ts_obs::json::{self, esc, Value};
 
 use crate::Finding;
 
@@ -101,255 +101,29 @@ impl Budget {
 
     /// Parse the checked-in JSON format.
     pub fn parse(text: &str) -> Result<Budget, String> {
-        let json = parse_json(text)?;
-        let Json::Object(top) = json else {
+        let top = json::parse(text)?;
+        if !matches!(top, Value::Object(_)) {
             return Err("budget: top level must be an object".into());
-        };
+        }
         let mut b = Budget::default();
         let Some(rules) = top.get("rules") else {
             return Ok(b);
         };
-        let Json::Object(rules) = rules else {
+        let Value::Object(rules) = rules else {
             return Err("budget: \"rules\" must be an object".into());
         };
         for (rule, files) in rules {
-            let Json::Object(files) = files else {
+            let Value::Object(files) = files else {
                 return Err(format!("budget: rule {rule:?} must map files to counts"));
             };
             for (path, n) in files {
-                let Json::Number(n) = n else {
-                    return Err(format!("budget: {rule}/{path} count must be a number"));
-                };
-                if *n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!(
-                        "budget: {rule}/{path} count must be a non-negative integer"
-                    ));
-                }
-                b.set(rule, path, *n as u64);
+                let n = n.as_u64().ok_or_else(|| {
+                    format!("budget: {rule}/{path} count must be a non-negative integer")
+                })?;
+                b.set(rule, path, n);
             }
         }
         Ok(b)
-    }
-}
-
-/// Escape a string for embedding in JSON output.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if c < ' ' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (subset sufficient for budgets and self-tests).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// Object with string keys, sorted.
-    Object(BTreeMap<String, Json>),
-    /// Array of values.
-    Array(Vec<Json>),
-    /// String value (unescaped).
-    String(String),
-    /// Any number, as f64.
-    Number(f64),
-    /// true / false.
-    Bool(bool),
-    /// null.
-    Null,
-}
-
-/// Parse a JSON document.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut p = Parser { chars, pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.chars.len() {
-        return Err(format!("json: trailing data at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn skip_ws(&mut self) {
-        while self
-            .chars
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<char, String> {
-        self.skip_ws();
-        self.chars
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "json: unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "json: expected {c:?} at offset {}, found {:?}",
-                self.pos, self.chars[self.pos]
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            '{' => self.object(),
-            '[' => self.array(),
-            '"' => Ok(Json::String(self.string()?)),
-            't' => self.literal("true", Json::Bool(true)),
-            'f' => self.literal("false", Json::Bool(false)),
-            'n' => self.literal("null", Json::Null),
-            c if c == '-' || c.is_ascii_digit() => self.number(),
-            c => Err(format!("json: unexpected {c:?} at offset {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        for w in word.chars() {
-            if self.chars.get(self.pos) != Some(&w) {
-                return Err(format!("json: bad literal at offset {}", self.pos));
-            }
-            self.pos += 1;
-        }
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect('{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == '}' {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            match self.peek()? {
-                ',' => self.pos += 1,
-                '}' => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                c => return Err(format!("json: expected , or }} found {c:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect('[')?;
-        let mut items = Vec::new();
-        if self.peek()? == ']' {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                ',' => self.pos += 1,
-                ']' => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                c => return Err(format!("json: expected , or ] found {c:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let c = self
-                .chars
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "json: unterminated string".to_string())?;
-            self.pos += 1;
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let e = self
-                        .chars
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| "json: unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let h = self
-                                    .chars
-                                    .get(self.pos)
-                                    .and_then(|c| c.to_digit(16))
-                                    .ok_or_else(|| "json: bad \\u escape".to_string())?;
-                                code = code * 16 + h;
-                                self.pos += 1;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        c => return Err(format!("json: bad escape \\{c}")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .chars
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        {
-            self.pos += 1;
-        }
-        let s: String = self.chars[start..self.pos].iter().collect();
-        s.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("json: bad number {s:?}: {e}"))
     }
 }
 
@@ -395,24 +169,5 @@ mod tests {
         assert!(Budget::parse("{\"rules\": 3}").is_err());
         assert!(Budget::parse("{\"rules\": {\"r\": {\"f\": -1}}}").is_err());
         assert!(Budget::parse("{\"rules\": {\"r\": {\"f\": 1.5}}}").is_err());
-        assert!(Budget::parse("{").is_err());
-        assert!(Budget::parse("{} trailing").is_err());
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": ["x\n", {"b": true, "c": null}, -2.5e1]}"#)
-            .expect("document parses");
-        let Json::Object(o) = v else { panic!("object") };
-        let Json::Array(a) = &o["a"] else {
-            panic!("array")
-        };
-        assert_eq!(a[0], Json::String("x\n".into()));
-        assert_eq!(a[2], Json::Number(-25.0));
-    }
-
-    #[test]
-    fn esc_escapes_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -9,8 +9,9 @@
 //! enforces the same invariants *statically*, at the source level, so a
 //! stray wall-clock read or an unordered hash-map iteration is caught in
 //! review rather than as a flaky CI diff. The scanner is a hand-rolled
-//! lexer (no syn, no dependencies) that masks strings and comments, tracks
-//! `#[cfg(test)]` item spans, and then pattern-matches the masked code.
+//! lexer (no syn; its one dependency is ts-obs, for JSON) that masks
+//! strings and comments, tracks `#[cfg(test)]` item spans, and then
+//! pattern-matches the masked code.
 //!
 //! ## Rules
 //!
@@ -42,6 +43,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use ts_obs::json::esc;
 
 pub mod budget;
 pub mod mask;
@@ -818,11 +820,11 @@ pub fn render_json(findings: &[Finding], rec: &Reconciliation) -> String {
             "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
              \"suppressed\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
             f.rule.name(),
-            budget::esc(&f.path),
+            esc(&f.path),
             f.line,
             f.suppressed,
-            budget::esc(&f.message),
-            budget::esc(&f.snippet)
+            esc(&f.message),
+            esc(&f.snippet)
         );
     }
     out.push_str("\n  ],\n  \"budget\": {\"over\": [");
@@ -835,7 +837,7 @@ pub fn render_json(findings: &[Finding], rec: &Reconciliation) -> String {
         let _ = write!(
             out,
             "\n    {{\"rule\": \"{rule}\", \"path\": \"{}\", \"count\": {n}, \"budget\": {b}}}",
-            budget::esc(path)
+            esc(path)
         );
     }
     out.push_str("\n  ], \"stale\": [");
@@ -848,7 +850,7 @@ pub fn render_json(findings: &[Finding], rec: &Reconciliation) -> String {
         let _ = write!(
             out,
             "\n    {{\"rule\": \"{rule}\", \"path\": \"{}\", \"count\": {n}, \"budget\": {b}}}",
-            budget::esc(path)
+            esc(path)
         );
     }
     let _ = write!(out, "\n  ]}},\n  \"ok\": {}\n}}\n", rec.ok());
@@ -1069,11 +1071,7 @@ fn uncovered(o: Option<u32>) -> u32 { o.unwrap() }
         let json = render_json(&findings, &rec);
         assert!(json.contains("\"no-bare-unwrap\""));
         assert!(json.contains("\"ok\": false"));
-        // Round-trips through the budget module's parser.
-        let v = budget::parse_json(&json).expect("render_json emits valid JSON");
-        let budget::Json::Object(o) = v else {
-            panic!("top level must be an object")
-        };
-        assert!(o.contains_key("findings"));
+        let v = ts_obs::json::parse(&json).expect("render_json emits valid JSON");
+        assert!(v.get("findings").is_some());
     }
 }

@@ -17,7 +17,13 @@
 //! The snapshot serializer ([`Registry::snapshot_json`]) deliberately
 //! excludes every wall-clock quantity; [`Registry::trace_jsonl`] includes
 //! them for human profiling.
+//!
+//! [`json`] is the workspace's one JSON implementation: every crate that
+//! reads or writes JSON goes through it.
 
+pub mod json;
+
+use json::{esc, fmt_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -456,35 +462,6 @@ fn close_obj(out: &mut String, empty: bool, indent: usize) {
     }
 }
 
-/// Deterministic float formatting: Rust's shortest-roundtrip `Display`,
-/// with non-finite values mapped to 0 (they never appear in valid metrics).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Escape a metric name for JSON embedding.
-fn esc(s: &str) -> String {
-    if s.chars().all(|c| c != '"' && c != '\\' && c >= ' ') {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c < ' ' => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,14 +557,6 @@ mod tests {
         assert_eq!(r.spans().len(), MAX_SPANS);
         assert_eq!(r.span_agg("s").count, (MAX_SPANS + 10) as u64);
         assert!(r.summary().contains("spans dropped"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(esc("plain.name"), "plain.name");
-        assert_eq!(esc("a\"b"), "a\\\"b");
-        assert_eq!(esc("a\\b"), "a\\\\b");
-        assert_eq!(esc("a\nb"), "a\\u000ab");
     }
 
     #[test]

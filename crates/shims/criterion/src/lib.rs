@@ -9,6 +9,7 @@
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use ts_obs::json::Value;
 
 pub use std::hint::black_box;
 
@@ -25,23 +26,20 @@ pub fn finalize() {
         return;
     };
     let rows = RESULTS.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = String::from("[\n");
-    for (i, (label, mean, best, samples)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let esc: String = label
-            .chars()
-            .flat_map(|c| match c {
-                '"' | '\\' => vec!['\\', c],
-                _ => vec![c],
+    let out = Value::Array(
+        rows.iter()
+            .map(|(label, mean, best, samples)| {
+                Value::object([
+                    ("name", Value::Str(label.clone())),
+                    ("mean_ns", Value::Float(*mean)),
+                    ("best_ns", Value::Float(*best)),
+                    ("samples", Value::Int(*samples as u64)),
+                ])
             })
-            .collect();
-        out.push_str(&format!(
-            "    {{\"name\": \"{esc}\", \"mean_ns\": {mean}, \"best_ns\": {best}, \"samples\": {samples}}}"
-        ));
-    }
-    out.push_str("\n]\n");
+            .collect(),
+    )
+    .to_pretty()
+        + "\n";
     if let Err(e) = std::fs::write(&path, out) {
         eprintln!("criterion shim: cannot write {path}: {e}");
     }

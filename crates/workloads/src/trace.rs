@@ -4,14 +4,12 @@
 //! live applications. [`TraceRecorder`] wraps any workload and captures its
 //! access stream; [`TraceWorkload`] replays a captured trace (looping), with
 //! the original page-class map preserved so compression behaviour matches.
-//! Traces serialize with serde for on-disk reuse.
 
 use crate::corpus::PageClass;
 use crate::{Access, Workload, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
-/// A serializable access trace plus the content metadata replay needs.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// An access trace plus the content metadata replay needs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Name of the traced workload.
     pub source: String,
@@ -20,56 +18,15 @@ pub struct Trace {
     /// Content seed of the traced workload.
     pub content_seed: u64,
     /// Page-class of each page (index = page number).
-    pub page_classes: Vec<PageClassTag>,
+    pub page_classes: Vec<PageClass>,
     /// The access stream: packed `(page << 1) | is_store`.
     pub events: Vec<u64>,
-}
-
-/// Serde-friendly mirror of [`PageClass`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
-pub enum PageClassTag {
-    /// See [`PageClass::Zero`].
-    Zero,
-    /// See [`PageClass::HighlyCompressible`].
-    HighlyCompressible,
-    /// See [`PageClass::Text`].
-    Text,
-    /// See [`PageClass::Binary`].
-    Binary,
-    /// See [`PageClass::Incompressible`].
-    Incompressible,
-}
-
-impl From<PageClass> for PageClassTag {
-    fn from(c: PageClass) -> Self {
-        match c {
-            PageClass::Zero => PageClassTag::Zero,
-            PageClass::HighlyCompressible => PageClassTag::HighlyCompressible,
-            PageClass::Text => PageClassTag::Text,
-            PageClass::Binary => PageClassTag::Binary,
-            PageClass::Incompressible => PageClassTag::Incompressible,
-        }
-    }
-}
-
-impl From<PageClassTag> for PageClass {
-    fn from(c: PageClassTag) -> Self {
-        match c {
-            PageClassTag::Zero => PageClass::Zero,
-            PageClassTag::HighlyCompressible => PageClass::HighlyCompressible,
-            PageClassTag::Text => PageClass::Text,
-            PageClassTag::Binary => PageClass::Binary,
-            PageClassTag::Incompressible => PageClass::Incompressible,
-        }
-    }
 }
 
 /// Record `n_events` accesses from `workload` into a [`Trace`].
 pub fn record(workload: &mut dyn Workload, n_events: usize) -> Trace {
     let total_pages = workload.total_pages();
-    let page_classes = (0..total_pages)
-        .map(|p| workload.page_class(p).into())
-        .collect();
+    let page_classes = (0..total_pages).map(|p| workload.page_class(p)).collect();
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         let a = workload.next_access();
@@ -141,7 +98,6 @@ impl Workload for TraceWorkload {
             .page_classes
             .get(page as usize)
             .copied()
-            .map(PageClass::from)
             .unwrap_or(PageClass::Zero)
     }
 
@@ -209,15 +165,6 @@ mod tests {
         original.fill_page(7, &mut a);
         replay.fill_page(7, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut original = WorkloadId::PageRank.build(Scale::TEST, 5);
-        let trace = record(original.as_mut(), 500);
-        let json = serde_json::to_string(&trace).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]

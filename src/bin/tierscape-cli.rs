@@ -114,6 +114,28 @@ fn workload_of(args: &Args) -> WorkloadId {
         })
 }
 
+/// The run's fault plan: `--fault-plan FILE` if given, else a uniform plan
+/// at `--fault-rate` when it is positive. A malformed file or a rate outside
+/// `[0, 1]` exits with code 2.
+fn fault_plan_of(args: &Args, seed: u64) -> Option<FaultPlan> {
+    let fault_rate: f64 = args.parse("--fault-rate", 0.0);
+    if !FaultPlan::is_valid_rate(fault_rate) {
+        fail(&format!(
+            "invalid value '{fault_rate}' for --fault-rate (expected a rate in [0, 1])"
+        ));
+    }
+    let fault_seed: u64 = args.parse("--fault-seed", seed);
+    if let Some(path) = args.value("--fault-plan") {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read fault plan '{path}': {e}")));
+        Some(FaultPlan::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}"))))
+    } else if fault_rate > 0.0 {
+        Some(FaultPlan::uniform(fault_seed, fault_rate))
+    } else {
+        None
+    }
+}
+
 fn cmd_list() {
     println!("{:<22} {:>9} {:<}", "workload", "paper RSS", "description");
     for id in WorkloadId::ALL {
@@ -134,6 +156,7 @@ fn cmd_run(args: &Args) {
     let seed: u64 = args.parse("--seed", 42);
     let windows: u64 = args.parse("--windows", 12);
     let accesses: u64 = args.parse("--accesses", 150_000);
+    let fault_plan = fault_plan_of(args, seed);
     let fidelity = if args.flag("--real") {
         Fidelity::Real
     } else {
@@ -177,20 +200,11 @@ fn cmd_run(args: &Args) {
     let mut dcfg = DaemonConfig {
         windows,
         window_accesses: accesses,
+        fault_plan,
         ..DaemonConfig::default()
     };
     if workers > 0 {
         dcfg.migration_workers = workers;
-    }
-    let fault_rate: f64 = args.parse("--fault-rate", 0.0);
-    let fault_seed: u64 = args.parse("--fault-seed", seed);
-    if let Some(path) = args.value("--fault-plan") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read fault plan '{path}': {e}")));
-        dcfg.fault_plan =
-            Some(FaultPlan::from_json(&text).unwrap_or_else(|e| fail(&e.to_string())));
-    } else if fault_rate > 0.0 {
-        dcfg.fault_plan = Some(FaultPlan::uniform(fault_seed, fault_rate));
     }
     if let Some(mode) = args.value("--plan-cache") {
         dcfg.plan_cache = PlanCacheMode::parse(mode).unwrap_or_else(|| {

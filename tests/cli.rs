@@ -27,7 +27,50 @@ fn malformed_value_is_rejected() {
     );
     assert_rejected(&["run", "--migration-workers", "-1"], "--migration-workers");
     assert_rejected(&["run", "--fault-rate", "0.1x"], "--fault-rate");
+    for rate in ["nan", "4", "-1"] {
+        assert_rejected(&["run", "--fault-rate", rate], "--fault-rate");
+    }
     assert_rejected(&["advise", "--tiers", "three"], "--tiers");
+}
+
+/// The four site rates of a well-formed fault plan file.
+const RATES: &str =
+    r#""zswap_store": 0.1, "pool_alloc": 0.1, "migration_copy": 0.1, "capacity_pressure": 0.1"#;
+
+/// Write `contents` to a fresh temporary file named after `tag`.
+fn temp_file(tag: &str, contents: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("ts-cli-{}-{tag}.json", std::process::id()));
+    std::fs::write(&path, contents).expect("temp file writes");
+    path
+}
+
+#[test]
+fn malformed_fault_plan_is_rejected() {
+    // Each bad document exits 2 with a message naming the culprit field.
+    let with_rates =
+        |from: &str, to: &str| format!(r#"{{"seed": 7, {}}}"#, RATES.replace(from, to));
+    let cases = [
+        (
+            format!(r#"{{"seed": 7, {RATES}, "typo_field": 1}}"#),
+            r#""typo_field""#,
+        ),
+        (format!(r#"{{"seed": 7, "seed": 8, {RATES}}}"#), r#""seed""#),
+        (format!("{{{RATES}}}"), r#""seed""#),
+        (format!(r#"{{"seed": -1, {RATES}}}"#), r#""seed""#),
+        (format!(r#"{{"seed": 7.5, {RATES}}}"#), r#""seed""#),
+        (
+            with_rates(r#""pool_alloc": 0.1"#, r#""pool_alloc": -3"#),
+            r#""pool_alloc""#,
+        ),
+        (with_rates("0.1", "7.5"), r#""zswap_store""#),
+        (with_rates("0.1", "1e999"), r#""zswap_store""#),
+        ("{ not json".to_string(), "invalid fault plan"),
+    ];
+    for (i, (doc, needle)) in cases.iter().enumerate() {
+        let path = temp_file(&format!("bad-plan-{i}"), doc);
+        assert_rejected(&["run", "--fault-plan", &path.to_string_lossy()], needle);
+        std::fs::remove_file(&path).expect("temp file removes");
+    }
 }
 
 #[test]
@@ -57,6 +100,7 @@ fn unknown_choice_is_rejected() {
 
 #[test]
 fn well_formed_run_succeeds() {
+    let plan = temp_file("plan", &format!(r#"{{"seed": 7, {RATES}}}"#));
     let out = cli(&[
         "run",
         "--windows",
@@ -68,7 +112,10 @@ fn well_formed_run_succeeds() {
         "--migration-workers",
         "2",
         "--real",
+        "--fault-plan",
+        &plan.to_string_lossy(),
     ]);
+    std::fs::remove_file(&plan).expect("temp file removes");
     assert!(
         out.status.success(),
         "stderr: {}",

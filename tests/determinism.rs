@@ -196,6 +196,20 @@ fn real_fidelity_identical_across_worker_counts() {
 }
 
 #[test]
+fn remote_solver_identical_across_worker_counts() {
+    // The remote solver's round trip is modeled, not timed, so Fig. 14's
+    // remote rows are as reproducible as the local ones. Real fidelity, so
+    // the worker axis actually spawns workers.
+    let remote = || Box::new(AnalyticalModel::am_tco().remote()) as Box<dyn PlacementPolicy>;
+    let wl = WorkloadId::MemcachedYcsb;
+    let one = run_with_workers(wl, Fidelity::Real, &remote, 1, 8_000, 7);
+    let eight = run_with_workers(wl, Fidelity::Real, &remote, 8, 8_000, 7);
+    assert!(one.windows.iter().all(|w| w.solver_cost_ns > 0.0));
+    assert!(one.windows.iter().any(|w| w.migrations > 0));
+    assert_identical(&one, &eight, "remote solver workers=1 vs 8");
+}
+
+#[test]
 fn fault_injection_identical_across_worker_counts() {
     // With a fault plan active at every site, a fixed --fault-seed must
     // still give bit-identical reports *and fault counters* at any
