@@ -5,60 +5,48 @@
 
 use crate::{CodecError, Result};
 
-/// Append-only bit writer over a `Vec<u8>`.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Bits accumulated but not yet flushed to `buf` (LSB-first).
+/// Append-only bit writer that emits straight into the caller's buffer.
+///
+/// Bits accumulate in a 64-bit register and are flushed 32 at a time, so a
+/// write costs one shift-or and, on average, one branch.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    dst: &'a mut Vec<u8>,
+    /// Bits accumulated but not yet flushed to `dst` (LSB-first).
     acc: u64,
-    /// Number of valid bits in `acc` (always < 8 after `flush_acc`).
+    /// Number of valid bits in `acc` (always < 32 between calls).
     nbits: u32,
 }
 
-impl BitWriter {
-    /// Create an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> BitWriter<'a> {
+    /// Create a writer that appends to `dst`.
+    pub fn new(dst: &'a mut Vec<u8>) -> Self {
+        BitWriter {
+            dst,
+            acc: 0,
+            nbits: 0,
+        }
     }
 
-    /// Write the low `count` bits of `bits` (LSB-first). `count` must be <= 57.
+    /// Write the low `count` bits of `bits` (LSB-first). `count` must be <= 32.
     #[inline]
     pub fn write_bits(&mut self, bits: u64, count: u32) {
-        debug_assert!(count <= 57);
-        debug_assert!(count == 64 || bits < (1u64 << count));
+        debug_assert!(count <= 32);
+        debug_assert!(bits < (1u64 << count));
         self.acc |= bits << self.nbits;
         self.nbits += count;
-        while self.nbits >= 8 {
-            self.buf.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.dst.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
-    /// Write a canonical Huffman code. Codes are stored MSB-first in their
-    /// `len`-bit representation, so reverse before emitting LSB-first.
-    #[inline]
-    pub fn write_code(&mut self, code: u32, len: u32) {
-        let rev = reverse_bits(code, len);
-        self.write_bits(rev as u64, len);
-    }
-
-    /// Pad to a byte boundary with zero bits and return the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.buf.push(self.acc as u8);
-        }
-        self.buf
-    }
-
-    /// Number of complete bytes written so far (excluding pending bits).
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
+    /// Pad to a byte boundary with zero bits and flush the pending bytes.
+    pub fn finish(self) {
+        let bytes = self.acc.to_le_bytes();
+        self.dst
+            .extend_from_slice(&bytes[..self.nbits.div_ceil(8) as usize]);
     }
 }
 
@@ -76,6 +64,9 @@ pub fn reverse_bits(code: u32, len: u32) -> u32 {
 pub struct BitReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Bits `0..nbits` are unread input. Higher bits are either zero or a
+    /// copy of the input bytes from `pos` on, so OR-ing those bytes in again
+    /// is harmless.
     acc: u64,
     nbits: u32,
 }
@@ -91,53 +82,55 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top up `acc` to at least 56 valid bits, or to the end of the input.
     #[inline]
     fn refill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.buf.len() {
-            self.acc |= (self.buf[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            // Whole-word load; only the bytes that fit completely count.
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            self.acc |= word << self.nbits;
+            let n = (63 - self.nbits) / 8;
+            self.pos += n as usize;
+            self.nbits += n * 8;
+        } else {
+            while self.nbits <= 56 && self.pos < self.buf.len() {
+                self.acc |= (self.buf[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
     }
 
-    /// Read `count` bits (LSB-first).
+    /// Read `count` bits (LSB-first). `count` must be <= 32.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Corrupt`] if the stream is exhausted.
     #[inline]
     pub fn read_bits(&mut self, count: u32) -> Result<u64> {
-        debug_assert!(count <= 57);
+        debug_assert!(count <= 32);
         if self.nbits < count {
             self.refill();
             if self.nbits < count {
                 return Err(CodecError::Corrupt("bitstream underrun"));
             }
         }
-        let mask = if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        let v = self.acc & mask;
+        let v = self.acc & ((1u64 << count) - 1);
         self.acc >>= count;
         self.nbits -= count;
         Ok(v)
     }
 
-    /// Peek up to `count` bits without consuming. Missing trailing bits are
-    /// zero-filled (needed by table-driven Huffman decode at stream end).
+    /// Peek up to `count` (<= 32) bits without consuming. Missing trailing
+    /// bits are zero-filled (needed by table-driven Huffman decode at stream
+    /// end).
     #[inline]
     pub fn peek_bits(&mut self, count: u32) -> u64 {
+        debug_assert!(count <= 32);
         if self.nbits < count {
             self.refill();
         }
-        let mask = if count >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        self.acc & mask
+        self.acc & ((1u64 << count) - 1)
     }
 
     /// Consume `count` bits previously peeked.
@@ -153,12 +146,6 @@ impl<'a> BitReader<'a> {
         self.acc >>= count;
         self.nbits -= count;
         Ok(())
-    }
-
-    /// Number of whole bits still available.
-    pub fn remaining_bits(&mut self) -> usize {
-        self.refill();
-        self.nbits as usize + (self.buf.len() - self.pos) * 8
     }
 }
 
@@ -205,7 +192,8 @@ mod tests {
 
     #[test]
     fn bits_round_trip() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         let values: Vec<(u64, u32)> = vec![
             (0b1, 1),
             (0b1010, 4),
@@ -217,7 +205,7 @@ mod tests {
         for &(v, n) in &values {
             w.write_bits(v, n);
         }
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &values {
             assert_eq!(r.read_bits(n).unwrap(), v);
@@ -225,11 +213,46 @@ mod tests {
     }
 
     #[test]
+    fn long_stream_round_trips_across_word_refills() {
+        // Widths 1..=32 in a pseudo-random order cross every flush and
+        // refill boundary, including the bytewise tail.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let values: Vec<(u64, u32)> = (0..2000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let n = (x % 32) as u32 + 1;
+                (x >> 32 & ((1u64 << n) - 1), n)
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
+        for &(v, n) in &values {
+            w.write_bits(v, n);
+        }
+        w.finish();
+        let total: u32 = values.iter().map(|&(_, n)| n).sum();
+        assert_eq!(bytes.len(), total.div_ceil(8) as usize);
+        let mut r = BitReader::new(&bytes);
+        for (i, &(v, n)) in values.iter().enumerate() {
+            if i % 2 == 0 {
+                assert_eq!(r.read_bits(n).unwrap(), v);
+            } else {
+                assert_eq!(r.peek_bits(n), v);
+                r.consume(n).unwrap();
+            }
+        }
+        assert!(r.read_bits(8).is_err());
+    }
+
+    #[test]
     fn peek_then_consume() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         w.write_bits(0b1101, 4);
         w.write_bits(0b111, 3);
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.peek_bits(4) & 0xf, 0b1101);
         r.consume(4).unwrap();

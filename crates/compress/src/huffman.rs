@@ -16,60 +16,62 @@ pub const MAX_CODE_LEN: u32 = 12;
 /// Returns one length per symbol; zero for symbols with zero frequency.
 /// If only one symbol occurs it is assigned length 1 (a decodable degenerate
 /// tree). Lengths never exceed [`MAX_CODE_LEN`].
+///
+/// Two-queue construction: leaves sorted by `(freq, symbol)` and a FIFO of
+/// internal nodes, whose weights come out non-decreasing. Each merge takes
+/// the two lightest fronts; on equal weight a leaf beats an internal node
+/// and an older internal node beats a newer one. That is a min-heap's
+/// `(freq, node id)` order with leaves numbered by symbol and internal nodes
+/// numbered after them in creation order, so the tree is the heap's.
 pub fn code_lengths(freqs: &[u64]) -> Vec<u32> {
-    let n = freqs.len();
-    let mut lens = vec![0u32; n];
-    let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    match active.len() {
+    let mut lens = vec![0u32; freqs.len()];
+    let mut leaves: Vec<(u64, usize)> = freqs
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| f > 0)
+        .map(|(sym, &f)| (f, sym))
+        .collect();
+    match leaves.len() {
         0 => return lens,
         1 => {
-            lens[active[0]] = 1;
+            lens[leaves[0].1] = 1;
             return lens;
         }
         _ => {}
     }
+    leaves.sort_unstable();
 
-    // Standard heap-based Huffman on (freq, node). Node indices >= n are
-    // internal nodes.
-    #[derive(PartialEq, Eq)]
-    struct Item(u64, usize);
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for a min-heap via BinaryHeap.
-            other.0.cmp(&self.0).then(other.1.cmp(&self.1))
+    // Node k < m is the k-th sorted leaf; node m + j is the j-th merge.
+    let m = leaves.len();
+    let mut weight: Vec<u64> = Vec::with_capacity(m - 1);
+    let mut parent = vec![0usize; 2 * m - 1];
+    let (mut next_leaf, mut next_internal) = (0usize, 0usize);
+    for node in m..2 * m - 1 {
+        let mut sum = 0u64;
+        for _ in 0..2 {
+            let take_leaf = next_leaf < m
+                && (next_internal == weight.len() || leaves[next_leaf].0 <= weight[next_internal]);
+            if take_leaf {
+                sum = sum.saturating_add(leaves[next_leaf].0);
+                parent[next_leaf] = node;
+                next_leaf += 1;
+            } else {
+                sum = sum.saturating_add(weight[next_internal]);
+                parent[m + next_internal] = node;
+                next_internal += 1;
+            }
         }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap = std::collections::BinaryHeap::new();
-    // parent[i] for leaf or internal node i; usize::MAX = root.
-    let mut parent = vec![usize::MAX; n + active.len()];
-    for &i in &active {
-        heap.push(Item(freqs[i], i));
-    }
-    let mut next_internal = n;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("heap has >= 2 items");
-        let b = heap.pop().expect("heap has >= 2 items");
-        let node = next_internal;
-        next_internal += 1;
-        parent[a.1] = node;
-        parent[b.1] = node;
-        heap.push(Item(a.0.saturating_add(b.0), node));
+        weight.push(sum);
     }
 
-    for &i in &active {
-        let mut depth = 0u32;
-        let mut node = i;
-        while parent[node] != usize::MAX {
-            node = parent[node];
-            depth += 1;
-        }
-        lens[i] = depth.max(1);
+    // Parents are created after their children, so one reverse pass from
+    // the root (the last node, depth 0) assigns every depth.
+    let mut depth = vec![0u32; 2 * m - 1];
+    for k in (0..2 * m - 2).rev() {
+        depth[k] = depth[parent[k]] + 1;
+    }
+    for (k, &(_, sym)) in leaves.iter().enumerate() {
+        lens[sym] = depth[k];
     }
 
     limit_lengths(&mut lens, MAX_CODE_LEN);
@@ -116,26 +118,35 @@ fn limit_lengths(lens: &mut [u32], max_len: u32) {
             None => break, // All at max_len: cannot happen with n <= 2^max_len.
         }
     }
-    // Optionally shorten codes to absorb slack (not required for validity).
-    let _ = kraft;
 }
 
-/// Assign canonical codes given code lengths. Returns `(code, len)` pairs,
-/// `(0, 0)` for absent symbols. Codes are MSB-first values of `len` bits.
-pub fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
-    let max = lens.iter().copied().max().unwrap_or(0);
-    let mut bl_count = vec![0u32; (max + 1) as usize];
+/// Payload size in bits of coding a histogram with the given code lengths.
+pub fn encoded_bits(freqs: &[u64], lens: &[u32]) -> u64 {
+    freqs.iter().zip(lens).map(|(&f, &l)| f * l as u64).sum()
+}
+
+/// First canonical code of each length 1..=[`MAX_CODE_LEN`] (RFC 1951
+/// §3.2.2, step 2). All lengths must be <= [`MAX_CODE_LEN`].
+fn first_codes(lens: &[u32]) -> [u32; MAX_CODE_LEN as usize + 1] {
+    let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
     for &l in lens {
-        if l > 0 {
-            bl_count[l as usize] += 1;
-        }
+        bl_count[l as usize] += 1;
     }
-    let mut next_code = vec![0u32; (max + 2) as usize];
+    bl_count[0] = 0; // Absent symbols take no code space.
+    let mut next_code = [0u32; MAX_CODE_LEN as usize + 1];
     let mut code = 0u32;
-    for bits in 1..=max {
-        code = (code + bl_count[(bits - 1) as usize]) << 1;
-        next_code[bits as usize] = code;
+    for bits in 1..next_code.len() {
+        code = (code + bl_count[bits - 1]) << 1;
+        next_code[bits] = code;
     }
+    next_code
+}
+
+/// Assign canonical codes given code lengths (each <= [`MAX_CODE_LEN`]).
+/// Returns `(code, len)` pairs, `(0, 0)` for absent symbols. Codes are
+/// MSB-first values of `len` bits.
+pub fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
+    let mut next_code = first_codes(lens);
     lens.iter()
         .map(|&l| {
             if l == 0 {
@@ -152,8 +163,9 @@ pub fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
 /// Table-driven canonical Huffman decoder.
 #[derive(Debug)]
 pub struct Decoder {
-    /// `table[peeked_bits] = (symbol, code_len)`; index width = `max_len`.
-    table: Vec<(u16, u8)>,
+    /// `table[peeked_bits] = symbol << 4 | code_len`, 0 for an unused code;
+    /// index width = `max_len`.
+    table: Vec<u16>,
     max_len: u32,
 }
 
@@ -163,7 +175,8 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns [`CodecError::Corrupt`] if the lengths do not describe a
-    /// prefix-valid (possibly incomplete) code or exceed [`MAX_CODE_LEN`].
+    /// prefix-valid (possibly incomplete) code, exceed [`MAX_CODE_LEN`], or
+    /// the alphabet has more than 4096 symbols.
     pub fn from_lengths(lens: &[u32]) -> Result<Decoder> {
         let max_len = lens.iter().copied().max().unwrap_or(0);
         if max_len == 0 {
@@ -175,7 +188,7 @@ impl Decoder {
         if max_len > MAX_CODE_LEN {
             return Err(CodecError::Corrupt("code length exceeds limit"));
         }
-        if lens.len() > u16::MAX as usize {
+        if lens.len() > 1 << 12 {
             return Err(CodecError::Corrupt("alphabet too large"));
         }
         // Kraft check: reject over-subscribed codes.
@@ -184,21 +197,22 @@ impl Decoder {
         if used > unit {
             return Err(CodecError::Corrupt("over-subscribed Huffman code"));
         }
-        let codes = canonical_codes(lens);
-        let mut table = vec![(u16::MAX, 0u8); 1usize << max_len];
-        for (sym, &(code, len)) in codes.iter().enumerate() {
+        let mut next_code = first_codes(lens);
+        let mut table = vec![0u16; 1usize << max_len];
+        for (sym, &len) in lens.iter().enumerate() {
             if len == 0 {
                 continue;
             }
+            let code = next_code[len as usize];
+            next_code[len as usize] += 1;
             // The bitstream is LSB-first with codes written bit-reversed, so
             // the table is indexed by the reversed code with all possible
             // suffixes.
-            let rev = crate::bitio::reverse_bits(code, len);
-            let step = 1usize << len;
-            let mut idx = rev as usize;
-            while idx < table.len() {
-                table[idx] = (sym as u16, len as u8);
-                idx += step;
+            let entry = (sym as u16) << 4 | len as u16;
+            let mut i = crate::bitio::reverse_bits(code, len) as usize;
+            while i < table.len() {
+                table[i] = entry;
+                i += 1 << len;
             }
         }
         Ok(Decoder { table, max_len })
@@ -214,17 +228,17 @@ impl Decoder {
         if self.max_len == 0 {
             return Err(CodecError::Corrupt("empty Huffman table"));
         }
-        let peek = reader.peek_bits(self.max_len) as usize;
-        let (sym, len) = self.table[peek];
-        if len == 0 {
+        let entry = self.table[reader.peek_bits(self.max_len) as usize];
+        if entry == 0 {
             return Err(CodecError::Corrupt("invalid Huffman code"));
         }
-        reader.consume(len as u32)?;
-        Ok(sym)
+        reader.consume((entry & 0xf) as u32)?;
+        Ok(entry >> 4)
     }
 }
 
-/// Encoder-side code table.
+/// Encoder-side code table, holding each code already bit-reversed for the
+/// LSB-first stream.
 #[derive(Debug)]
 pub struct Encoder {
     codes: Vec<(u32, u32)>,
@@ -233,22 +247,34 @@ pub struct Encoder {
 impl Encoder {
     /// Build an encoder from code lengths.
     pub fn from_lengths(lens: &[u32]) -> Encoder {
-        Encoder {
-            codes: canonical_codes(lens),
-        }
+        let codes = canonical_codes(lens)
+            .into_iter()
+            .map(|(code, len)| (crate::bitio::reverse_bits(code, len), len))
+            .collect();
+        Encoder { codes }
     }
 
     /// Emit the code for `sym` into `writer`.
     #[inline]
-    pub fn encode(&self, writer: &mut BitWriter, sym: usize) {
+    pub fn encode(&self, writer: &mut BitWriter<'_>, sym: usize) {
         let (code, len) = self.codes[sym];
         debug_assert!(len > 0, "encoding absent symbol {sym}");
-        writer.write_code(code, len);
+        writer.write_bits(code as u64, len);
     }
 
-    /// Code length in bits for `sym` (0 if absent).
-    pub fn len_of(&self, sym: usize) -> u32 {
-        self.codes[sym].1
+    /// Emit the code for `sym` followed by `extra_bits` raw bits of `extra`,
+    /// in one write (`len(sym) + extra_bits` must be <= 32).
+    #[inline]
+    pub fn encode_with_extra(
+        &self,
+        writer: &mut BitWriter<'_>,
+        sym: usize,
+        extra: u32,
+        extra_bits: u32,
+    ) {
+        let (code, len) = self.codes[sym];
+        debug_assert!(len > 0, "encoding absent symbol {sym}");
+        writer.write_bits(code as u64 | (extra as u64) << len, len + extra_bits);
     }
 }
 
@@ -322,11 +348,12 @@ mod tests {
         let dec = Decoder::from_lengths(&lens).unwrap();
 
         let symbols: Vec<usize> = (0..64).filter(|&s| freqs[s] > 0).collect();
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         for &s in &symbols {
             enc.encode(&mut w, s);
         }
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &s in &symbols {
             assert_eq!(dec.decode(&mut r).unwrap() as usize, s);
@@ -340,15 +367,83 @@ mod tests {
         assert_eq!(lens[2], 1);
         let enc = Encoder::from_lengths(&lens);
         let dec = Decoder::from_lengths(&lens).unwrap();
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         for _ in 0..5 {
             enc.encode(&mut w, 2);
         }
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for _ in 0..5 {
             assert_eq!(dec.decode(&mut r).unwrap(), 2);
         }
+    }
+
+    /// The heap construction the two-queue one must reproduce exactly:
+    /// min-heap on `(freq, node id)`, leaves numbered by symbol, internal
+    /// nodes after them in creation order.
+    fn heap_code_lengths(freqs: &[u64]) -> Vec<u32> {
+        use std::cmp::Reverse;
+        let n = freqs.len();
+        let mut lens = vec![0u32; n];
+        let mut heap: std::collections::BinaryHeap<Reverse<(u64, usize)>> = freqs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f > 0)
+            .map(|(i, &f)| Reverse((f, i)))
+            .collect();
+        if heap.len() == 1 {
+            lens[heap.peek().unwrap().0 .1] = 1;
+            return lens;
+        }
+        let mut parent = vec![usize::MAX; 2 * n];
+        let mut next = n;
+        while heap.len() > 1 {
+            let Reverse((fa, a)) = heap.pop().unwrap();
+            let Reverse((fb, b)) = heap.pop().unwrap();
+            parent[a] = next;
+            parent[b] = next;
+            heap.push(Reverse((fa + fb, next)));
+            next += 1;
+        }
+        for (i, len) in lens.iter_mut().enumerate() {
+            let mut node = i;
+            while freqs[i] > 0 && parent[node] != usize::MAX {
+                node = parent[node];
+                *len += 1;
+            }
+        }
+        limit_lengths(&mut lens, MAX_CODE_LEN);
+        lens
+    }
+
+    #[test]
+    fn two_queue_matches_heap_construction() {
+        // Small frequency ranges force many ties between leaves and
+        // internal nodes; power-of-two frequencies skew the tree past
+        // MAX_CODE_LEN and exercise the length limit.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut limited = 0;
+        for case in 0..600 {
+            let n = [2usize, 3, 30, 286][case % 4];
+            let range = [2u64, 4, 17, 0][case / 4 % 4];
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    match (x.is_multiple_of(3), range) {
+                        (true, _) => 0,
+                        (false, 0) => 1 << ((x >> 20) % 40),
+                        (false, r) => (x >> 20) % r + 1,
+                    }
+                })
+                .collect();
+            let lens = code_lengths(&freqs);
+            assert_eq!(lens, heap_code_lengths(&freqs), "{freqs:?}");
+            limited += lens.contains(&MAX_CODE_LEN) as usize;
+        }
+        assert!(limited > 0, "no case reached the length limit");
     }
 
     #[test]

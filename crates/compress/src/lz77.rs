@@ -26,7 +26,9 @@ pub enum Token {
 ///
 /// The hash-head and chain tables are taken from a thread-local scratch pool
 /// so that per-page compression (the zswap hot path) performs no heap
-/// allocation after warm-up.
+/// allocation after warm-up. Only the head table is reset per input: a chain
+/// entry `prev[p]` is written when `p` is inserted, before any chain can
+/// reach `p`, so stale entries from an earlier input are never read.
 #[derive(Debug)]
 pub struct MatchFinder<'a> {
     src: &'a [u8],
@@ -55,8 +57,9 @@ impl<'a> MatchFinder<'a> {
         let (mut head, mut prev) = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         head.clear();
         head.resize(1 << hash_bits, -1);
-        prev.clear();
-        prev.resize(src.len(), -1);
+        if prev.len() < src.len() {
+            prev.resize(src.len(), -1);
+        }
         MatchFinder {
             src,
             head,
@@ -68,52 +71,66 @@ impl<'a> MatchFinder<'a> {
         }
     }
 
+    /// Hash of the 3 bytes at `pos`, or `None` when fewer than 3 remain
+    /// (such positions are neither searched nor inserted).
     #[inline]
-    fn hash(&self, pos: usize) -> usize {
-        let b = &self.src[pos..];
+    fn hash(&self, pos: usize) -> Option<usize> {
+        let b = self.src.get(pos..pos + MIN_MATCH)?;
         let v = (b[0] as u32) | ((b[1] as u32) << 8) | ((b[2] as u32) << 16);
-        ((v.wrapping_mul(0x9E37_79B1)) >> (32 - self.hash_bits)) as usize
+        Some(((v.wrapping_mul(0x9E37_79B1)) >> (32 - self.hash_bits)) as usize)
     }
 
-    /// Insert position `pos` into the chains (requires >= 3 readable bytes).
+    /// Insert position `pos` into the chains (a no-op with < 3 bytes left).
     #[inline]
     pub fn insert(&mut self, pos: usize) {
-        if pos + MIN_MATCH > self.src.len() {
-            return;
+        if let Some(h) = self.hash(pos) {
+            self.link(pos, h);
         }
-        let h = self.hash(pos);
+    }
+
+    #[inline]
+    fn link(&mut self, pos: usize, h: usize) {
         self.prev[pos] = self.head[h];
         self.head[h] = pos as i32;
     }
 
-    /// Find the best match at `pos`, returning `(len, dist)` or `None`.
-    pub fn best_match(&self, pos: usize) -> Option<(u32, u32)> {
-        if pos + MIN_MATCH > self.src.len() {
-            return None;
-        }
-        let max_len = (self.src.len() - pos).min(self.max_match);
-        let h = self.hash(pos);
-        let mut cand = self.head[h];
+    /// Find the best match at `pos` against the positions inserted so far,
+    /// then insert `pos`; one hash serves both. Returns `(len, dist)`.
+    #[inline]
+    pub fn find_and_insert(&mut self, pos: usize) -> Option<(u32, u32)> {
+        let h = self.hash(pos)?;
+        let found = self.search(pos, self.head[h]);
+        self.link(pos, h);
+        found
+    }
+
+    /// Walk the chain from `cand` for the longest match at `pos`.
+    fn search(&self, pos: usize, mut cand: i32) -> Option<(u32, u32)> {
+        let src = self.src;
+        let max_len = (src.len() - pos).min(self.max_match);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0u32;
         let mut chain = self.max_chain;
         let lo = pos.saturating_sub(self.window);
+        // `max_len >= MIN_MATCH > best_len` on entry, and the loop ends as
+        // soon as `best_len` reaches `max_len`.
         while cand >= 0 && chain > 0 {
             let c = cand as usize;
             if c < lo {
                 break;
             }
             debug_assert!(c < pos);
-            // Quick reject: compare the byte just past the current best.
-            if best_len < max_len && self.src[c + best_len] == self.src[pos + best_len] {
-                let len = common_prefix(self.src, c, pos, max_len);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = (pos - c) as u32;
-                    if len >= max_len {
-                        break;
-                    }
-                }
+            // Select rather than branch: whether a probe improves on the
+            // best is data-dependent and mispredicts often.
+            let len = common_prefix(src, c, pos, max_len);
+            best_dist = if len > best_len {
+                (pos - c) as u32
+            } else {
+                best_dist
+            };
+            best_len = best_len.max(len);
+            if best_len >= max_len {
+                break;
             }
             cand = self.prev[c];
             chain -= 1;
@@ -194,43 +211,36 @@ pub fn tokenize(
     let mut mf = MatchFinder::new(src, window, max_chain, max_match);
     let mut pos = 0usize;
     while pos < src.len() {
-        let cur = mf.best_match(pos);
-        mf.insert(pos);
-        match cur {
-            None => {
-                tokens.push(Token::Literal(src[pos]));
-                pos += 1;
-            }
-            Some((len, dist)) => {
-                let mut take = (len, dist);
-                let mut lit_first = false;
-                if lazy && pos + 1 < src.len() {
-                    if let Some((nlen, ndist)) = mf.best_match(pos + 1) {
-                        if nlen > len + 1 {
-                            // Deferring wins: emit a literal, take next match.
-                            lit_first = true;
-                            take = (nlen, ndist);
-                        }
-                    }
-                }
-                if lit_first {
+        let Some((len, dist)) = mf.find_and_insert(pos) else {
+            tokens.push(Token::Literal(src[pos]));
+            pos += 1;
+            continue;
+        };
+        let mut take = (len, dist);
+        // The lookahead search also inserts `pos + 1`, which every path
+        // below would insert next anyway.
+        let mut next_inserted = false;
+        if lazy && pos + 1 < src.len() {
+            next_inserted = true;
+            if let Some((nlen, ndist)) = mf.find_and_insert(pos + 1) {
+                if nlen > len + 1 {
+                    // Deferring wins: emit a literal, take next match.
                     tokens.push(Token::Literal(src[pos]));
                     pos += 1;
-                    mf.insert(pos);
+                    next_inserted = false;
+                    take = (nlen, ndist);
                 }
-                tokens.push(Token::Match {
-                    len: take.0,
-                    dist: take.1,
-                });
-                let end = (pos + take.0 as usize).min(src.len());
-                let mut p = pos + 1;
-                while p < end {
-                    mf.insert(p);
-                    p += 1;
-                }
-                pos = end;
             }
         }
+        tokens.push(Token::Match {
+            len: take.0,
+            dist: take.1,
+        });
+        let end = (pos + take.0 as usize).min(src.len());
+        for p in pos + 1 + next_inserted as usize..end {
+            mf.insert(p);
+        }
+        pos = end;
     }
     tokens
 }

@@ -136,8 +136,7 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
                 continue;
             }
         }
-        let best = mf.best_match(pos);
-        mf.insert(pos);
+        let best = mf.find_and_insert(pos);
         if let Some((len, off)) = best {
             let (best_len, best_off) = (len as usize, off as usize);
             if anchor < pos {

@@ -55,7 +55,7 @@ impl Codec for Sw842 {
 
         let mut word_dict: HashMap<u64, u32> = HashMap::with_capacity(nwords);
         let mut half_dict: HashMap<u32, u32> = HashMap::with_capacity(nwords * 2);
-        let mut w = BitWriter::new();
+        let mut w = BitWriter::new(dst);
 
         for i in 0..nwords {
             let word = u64::from_le_bytes(src[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
@@ -109,7 +109,7 @@ impl Codec for Sw842 {
             half_dict.insert(lo, lo_idx);
             half_dict.insert(hi, hi_idx);
         }
-        dst.extend_from_slice(&w.finish());
+        w.finish();
         dst.extend_from_slice(&src[nwords * 8..]);
 
         let written = dst.len() - before;
