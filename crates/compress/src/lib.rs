@@ -22,8 +22,8 @@
 //!   zram default); dramatically better on zero/rle-heavy pages.
 //! * [`deflate`] — LZ77 with lazy parsing plus canonical Huffman coding of
 //!   literals/lengths/distances. Best ratio, slowest.
-//! * [`zstd_lite`] — lazy LZ77 parse with Huffman-coded literal section and
-//!   varint-coded sequences; ratio close to Deflate at notably lower cost.
+//! * [`zstd_lite`] — greedy, shallow-chain LZ77 parse into Deflate's
+//!   canonical-Huffman token coder; ratio close to Deflate at lower cost.
 //! * [`sw842`] — 8-byte-word template compressor modeled on the nx842
 //!   software fallback.
 //!
@@ -101,7 +101,7 @@ pub enum Algorithm {
     LzoRle,
     /// LZ77 + canonical Huffman (best ratio, slowest).
     Deflate,
-    /// Zstandard-like: lazy parse + entropy-coded literals.
+    /// Zstandard-like: greedy shallow-chain parse + Huffman-coded tokens.
     Zstd,
     /// IBM 842-style word template compression.
     Sw842,

@@ -605,6 +605,30 @@ mod tests {
     }
 
     #[test]
+    fn wrong_decoded_length_is_corrupt() {
+        // A well-formed lzo stream that decodes to 4,104 bytes, stored as a
+        // 4 KiB page: the codec accepts it, the tier must not.
+        let mut z = ZswapSubsystem::new(machine());
+        let id = z.create_tier(TierConfig::ct1()).unwrap();
+        let long = vec![b'x'; 4104];
+        let mut stream = Vec::new();
+        Algorithm::Lzo.codec().compress(&long, &mut stream).unwrap();
+        let t = z.tier_mut(id).unwrap();
+        let s = t.store_precompressed(&stream, 4096).unwrap();
+        assert!(matches!(
+            t.decompress(s),
+            Err(ZswapError::Codec(CodecError::Corrupt(_)))
+        ));
+        assert!(matches!(
+            z.load(id, s),
+            Err(ZswapError::Codec(CodecError::Corrupt(_)))
+        ));
+        // The exact length still loads.
+        let ok = z.store(id, &page(3)).unwrap();
+        assert_eq!(z.load(id, ok).unwrap(), page(3));
+    }
+
+    #[test]
     fn unknown_tier_errors() {
         let mut z = ZswapSubsystem::new(machine());
         let bogus = TierId(9);

@@ -257,7 +257,8 @@ impl CompressedTier {
     ///
     /// # Errors
     ///
-    /// See [`CompressedTier::load`].
+    /// See [`CompressedTier::load`]. A stream that decodes to any length
+    /// other than [`StoredPage::original_len`] is corrupt too.
     pub fn decompress(&self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
         if let Some(v) = stored.same_filled {
             return Ok(vec![v; stored.original_len]);
@@ -267,6 +268,11 @@ impl CompressedTier {
         self.codec
             .decompress(&compressed, &mut page)
             .map_err(ZswapError::Codec)?;
+        if page.len() != stored.original_len {
+            return Err(ZswapError::Codec(CodecError::Corrupt(
+                "decoded length differs from the stored page's",
+            )));
+        }
         Ok(page)
     }
 
