@@ -1,12 +1,13 @@
 //! Codec micro-benchmarks: compression / decompression throughput per 4 KiB
-//! page, per algorithm and content class. Validates the latency orderings
-//! the tier model assumes (lz4 < lzo < zstd < deflate).
+//! page, per algorithm and content class, and on a workload's own pages.
+//! Validates the latency orderings the tier model assumes
+//! (lz4 < lzo < zstd < deflate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
 use ts_compress::Algorithm;
-use ts_workloads::PageClass;
+use ts_workloads::{PageClass, Scale, WorkloadId};
 
 fn page(class: PageClass) -> Vec<u8> {
     let mut buf = vec![0u8; 4096];
@@ -99,9 +100,62 @@ fn bench_by_content(c: &mut Criterion) {
     g.finish();
 }
 
+/// 16 memcached-ycsb pages spread over the RSS: the CT-1/CT-2 store and
+/// fault-in path of the `kv-am-real` daemon benchmark, one page at a time.
+fn bench_workload_pages(c: &mut Criterion) {
+    let w = WorkloadId::MemcachedYcsb.build(Scale::BENCH, 91);
+    let total = w.total_pages();
+    let pages: Vec<Vec<u8>> = (0..16u64)
+        .map(|i| {
+            let mut buf = vec![0u8; 4096];
+            w.fill_page(i * total / 16, &mut buf);
+            buf
+        })
+        .collect();
+    let mut g = c.benchmark_group("memcached_ycsb_16_pages");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(16 * 4096));
+    for algo in [
+        Algorithm::Lz4,
+        Algorithm::Lzo,
+        Algorithm::Zstd,
+        Algorithm::Deflate,
+    ] {
+        let codec = algo.codec();
+        g.bench_function(BenchmarkId::new("compress", algo.name()), |b| {
+            b.iter(|| {
+                for page in &pages {
+                    let mut out = Vec::with_capacity(4096);
+                    let _ = codec.compress(black_box(page), &mut out);
+                    black_box(out);
+                }
+            })
+        });
+        let streams: Vec<Vec<u8>> = pages
+            .iter()
+            .filter_map(|page| {
+                let mut out = Vec::new();
+                codec.compress(page, &mut out).ok().map(|_| out)
+            })
+            .collect();
+        g.bench_function(BenchmarkId::new("decompress", algo.name()), |b| {
+            b.iter(|| {
+                for stream in &streams {
+                    let mut out = Vec::with_capacity(4096);
+                    codec
+                        .decompress(black_box(stream), &mut out)
+                        .expect("valid stream");
+                    black_box(out);
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_compress, bench_decompress, bench_by_content
+    targets = bench_compress, bench_decompress, bench_by_content, bench_workload_pages
 }
 criterion_main!(benches);
