@@ -13,6 +13,11 @@
 //! but less dense than zsmalloc; DRAM-backed faster but costlier than
 //! Optane-backed; deflate/zsmalloc/Optane (C12) the best TCO.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "Fig. 2(a) measures real decompression wall time by definition"
+)]
+
 use std::sync::Arc;
 use std::time::Instant;
 use ts_bench::{header, num, row, s, BenchScale};

@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "codec dictionaries are lookup-only; compressed streams are pinned byte for byte by tests/codec_streams.rs"
+)]
 
 //! # ts-compress — compression codecs for TierScape compressed tiers
 //!

@@ -384,8 +384,7 @@ mod tests {
             .min_by(|&a, &b| {
                 system
                     .placement_cost_per_page(a)
-                    .partial_cmp(&system.placement_cost_per_page(b))
-                    .unwrap()
+                    .total_cmp(&system.placement_cost_per_page(b))
             })
             .unwrap();
         assert!(plan.iter().all(|e| e.dest == cheapest));
@@ -419,7 +418,7 @@ mod tests {
         let hottest = hot
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(r, _)| r as u64)
             .unwrap();
         let order = system.placements();
@@ -458,8 +457,7 @@ mod tests {
             .min_by(|&a, &b| {
                 system
                     .placement_cost_per_page(a)
-                    .partial_cmp(&system.placement_cost_per_page(b))
-                    .unwrap()
+                    .total_cmp(&system.placement_cost_per_page(b))
             })
             .unwrap();
         let direct = coldest

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![warn(clippy::float_cmp)]
 
 //! # tierscape-core — TierScape placement models and TS-Daemon
 //!

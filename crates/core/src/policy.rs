@@ -230,10 +230,12 @@ mod tests {
     #[test]
     fn percentile_helper() {
         let v: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        assert_eq!(percentile_of(&v, 0.0), 0.0);
-        assert_eq!(percentile_of(&v, 100.0), 100.0);
-        assert_eq!(percentile_of(&v, 50.0), 50.0);
-        assert_eq!(percentile_of(&[], 50.0), 0.0);
+        // Exact, compared bit for bit as PlanCache does.
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(bits(percentile_of(&v, 0.0)), bits(0.0));
+        assert_eq!(bits(percentile_of(&v, 100.0)), bits(100.0));
+        assert_eq!(bits(percentile_of(&v, 50.0)), bits(50.0));
+        assert_eq!(bits(percentile_of(&[], 50.0)), bits(0.0));
     }
 
     #[test]

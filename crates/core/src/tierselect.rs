@@ -332,7 +332,7 @@ mod tests {
             .iter()
             .map(|t| t.decompress_latency_ns())
             .collect();
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        lats.sort_by(f64::total_cmp);
         assert!(lats.last().expect("nonempty") > &(lats[0] * 1.5));
     }
 

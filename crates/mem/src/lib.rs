@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the buddy allocator's allocated-block map is lookup-only; no hash order reaches an artifact"
+)]
 
 //! # ts-mem — simulated physical memory substrate
 //!

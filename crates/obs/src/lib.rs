@@ -136,7 +136,14 @@ pub struct SpanTimer {
 
 impl SpanTimer {
     /// Start timing now.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "ts-obs owns the host clock: span wall time goes to the trace, never the snapshot"
+    )]
+    #[expect(
+        clippy::new_without_default,
+        reason = "starting a timer reads the clock; a Default impl would hide that"
+    )]
     pub fn new() -> Self {
         SpanTimer {
             start: Instant::now(),

@@ -7,6 +7,11 @@
 //! with a simple wall-clock measurement loop instead of criterion's
 //! statistical machinery. Reports mean and best ns/iter per benchmark.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures host wall-clock by definition"
+)]
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ts_obs::json::Value;

@@ -1537,6 +1537,10 @@ impl TieredSystem {
     /// Prepare one chunk of batched pages, split over `workers` contiguous
     /// slices. Results come back in job order, each with the host
     /// nanoseconds its prepare took.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one place threads are created: a slice's prepare is pure and results merge in job order"
+    )]
     fn prepare_chunk(
         &self,
         jobs: &[(u64, Residency, Placement)],

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![warn(clippy::float_cmp)]
 
 //! # ts-solver — optimization substrate for the analytical model
 //!
@@ -8,7 +9,8 @@
 //!
 //! * [`simplex`] — a dense two-phase primal simplex for general LPs.
 //! * [`branch_bound`] — branch & bound over the simplex for small general
-//!   ILPs (used to cross-validate the specialized solver in tests).
+//!   ILPs (used to cross-validate the specialized solver in tests). Both
+//!   always solve cold: the daemon calls only [`mckp`].
 //! * [`mckp`] — the workhorse: the TierScape ILP *is* a multiple-choice
 //!   knapsack problem (pick exactly one tier per region; minimize summed
 //!   performance cost subject to a TCO budget), for which dominance-filtered

@@ -293,7 +293,6 @@ impl MckpProblem {
                 group: gi,
                 to_level: l,
                 d_tco,
-                d_perf,
                 eff: d_perf / d_tco,
             });
         }
@@ -474,8 +473,6 @@ struct Step {
     group: usize,
     to_level: usize,
     d_tco: f64,
-    #[allow(dead_code)]
-    d_perf: f64,
     eff: f64,
 }
 

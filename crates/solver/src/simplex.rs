@@ -7,6 +7,7 @@
 //! LP relaxations produce; everything is `Vec<f64>` dense.
 
 use crate::SolverError;
+use std::num::FpCategory;
 
 /// Relation of a constraint row to its right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +51,6 @@ pub struct LpSolution {
     /// phase 2. Deterministic under Bland's rule, so suitable for
     /// snapshot-diffed solver-effort metrics.
     pub pivots: u64,
-    /// The optimal basis: one column index per constraint row, over the
-    /// `[structural][slack/surplus][artificial]` column layout. Feed it to
-    /// [`LinearProgram::solve_with_basis`] to warm-start a re-solve of a
-    /// perturbed program with the same constraint shape.
-    pub basis: Vec<usize>,
 }
 
 const EPS: f64 = 1e-9;
@@ -87,91 +83,6 @@ impl LinearProgram {
     /// [`SolverError::LimitExceeded`], or [`SolverError::Malformed`] when
     /// constraint widths disagree with the objective length.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        let mut tab = self.build_tableau()?;
-        let (n, m) = (tab.n, tab.t.len());
-
-        // Phase 1: minimize sum of artificials == maximize -(sum of artificials).
-        let mut pivots = 0u64;
-        if !tab.art_cols.is_empty() {
-            let mut obj = vec![0.0f64; tab.total];
-            for &c in &tab.art_cols {
-                obj[c] = -1.0;
-            }
-            let (val, p1) = run_simplex(&mut tab.t, &mut tab.basis, &obj, tab.total)?;
-            pivots += p1;
-            if val < -1e-7 {
-                return Err(SolverError::Infeasible);
-            }
-            // Drive remaining artificial variables out of the basis.
-            for i in 0..m {
-                if tab.basis[i] >= n + tab.n_slack {
-                    // Find a non-artificial pivot column in this row.
-                    if let Some(j) = (0..n + tab.n_slack).find(|&j| tab.t[i][j].abs() > EPS) {
-                        pivot(&mut tab.t, &mut tab.basis, i, j, tab.total);
-                        pivots += 1;
-                    }
-                    // If none exists the row is all-zero (redundant): leave it.
-                }
-            }
-        }
-        self.phase2(tab, pivots)
-    }
-
-    /// Solve with a prior basis as the warm start, skipping phase 1.
-    ///
-    /// `basis_hint` is the [`LpSolution::basis`] of a previous solve of a
-    /// program with the *same constraint shape* (same variable count, same
-    /// number and relations of constraints — only coefficients, objective or
-    /// right-hand sides perturbed). The hinted basis is pivoted in by
-    /// Gaussian elimination; if it is singular, references artificial
-    /// columns, or is primal-infeasible for the new program, the solver
-    /// falls back to a cold [`LinearProgram::solve`] — the result is always
-    /// the true optimum either way, typically in fewer pivots when the warm
-    /// start holds.
-    ///
-    /// # Errors
-    ///
-    /// See [`LinearProgram::solve`].
-    pub fn solve_with_basis(&self, basis_hint: &[usize]) -> Result<LpSolution, SolverError> {
-        let mut tab = self.build_tableau()?;
-        let m = tab.t.len();
-        let non_art = tab.n + tab.n_slack;
-        let mut seen = vec![false; tab.total];
-        let hint_ok = basis_hint.len() == m
-            && basis_hint.iter().all(|&c| {
-                let fresh = c < non_art && !seen[c];
-                if fresh {
-                    seen[c] = true;
-                }
-                fresh
-            });
-        if !hint_ok {
-            return self.solve();
-        }
-        // Pivot the hinted columns in, one per row (Gaussian elimination).
-        let mut pivots = 0u64;
-        let mut claimed = vec![false; m];
-        for &col in basis_hint {
-            if let Some(i) = (0..m).find(|&i| !claimed[i] && tab.basis[i] == col) {
-                claimed[i] = true; // Already basic in this row.
-                continue;
-            }
-            let Some(i) = (0..m).find(|&i| !claimed[i] && tab.t[i][col].abs() > EPS) else {
-                return self.solve(); // Singular under the new coefficients.
-            };
-            pivot(&mut tab.t, &mut tab.basis, i, col, tab.total);
-            pivots += 1;
-            claimed[i] = true;
-        }
-        // The basis must be primal-feasible to start phase 2 from it.
-        if tab.t.iter().any(|row| row[tab.total] < -EPS) {
-            return self.solve();
-        }
-        self.phase2(tab, pivots)
-    }
-
-    /// Build the normalized tableau with its initial slack/artificial basis.
-    fn build_tableau(&self) -> Result<Tableau, SolverError> {
         let n = self.objective.len();
         if n == 0 {
             return Err(SolverError::Malformed("no variables"));
@@ -246,55 +157,52 @@ impl LinearProgram {
                 }
             }
         }
-        Ok(Tableau {
-            t,
-            basis,
-            n,
-            n_slack,
-            art_cols,
-            total,
-        })
-    }
 
-    /// Run phase 2 on a feasible tableau and extract the solution.
-    fn phase2(&self, mut tab: Tableau, setup_pivots: u64) -> Result<LpSolution, SolverError> {
-        // Original objective (zero on slack and artificial columns;
+        // Phase 1: minimize sum of artificials == maximize -(sum of artificials).
+        let mut pivots = 0u64;
+        if n_art > 0 {
+            let mut obj = vec![0.0f64; total];
+            for &c in &art_cols {
+                obj[c] = -1.0;
+            }
+            let (val, p1) = run_simplex(&mut t, &mut basis, &obj, total)?;
+            pivots += p1;
+            if val < -1e-7 {
+                return Err(SolverError::Infeasible);
+            }
+            // Drive remaining artificial variables out of the basis.
+            for i in 0..m {
+                if basis[i] >= n + n_slack {
+                    // Find a non-artificial pivot column in this row.
+                    if let Some(j) = (0..n + n_slack).find(|&j| t[i][j].abs() > EPS) {
+                        pivot(&mut t, &mut basis, i, j, total);
+                        pivots += 1;
+                    }
+                    // If none exists the row is all-zero (redundant): leave it.
+                }
+            }
+        }
+
+        // Phase 2: original objective (zero on slack and artificial columns;
         // artificial columns are additionally forbidden from entering).
-        let mut obj = vec![0.0f64; tab.total];
-        obj[..tab.n].copy_from_slice(&self.objective);
-        let forbidden_from = tab.n + tab.n_slack;
-        let (objective, p2) =
-            run_simplex_bounded(&mut tab.t, &mut tab.basis, &obj, tab.total, forbidden_from)?;
+        let mut obj = vec![0.0f64; total];
+        obj[..n].copy_from_slice(&self.objective);
+        let forbidden_from = n + n_slack;
+        let (objective, p2) = run_simplex_bounded(&mut t, &mut basis, &obj, total, forbidden_from)?;
+        pivots += p2;
 
-        let mut x = vec![0.0f64; tab.n];
-        for (i, &b) in tab.basis.iter().enumerate() {
-            if b < tab.n {
-                x[b] = tab.t[i][tab.total];
+        let mut x = vec![0.0f64; n];
+        for (i, &b) in basis.iter().enumerate() {
+            if b < n {
+                x[b] = t[i][total];
             }
         }
         Ok(LpSolution {
             x,
             objective,
-            pivots: setup_pivots + p2,
-            basis: tab.basis,
+            pivots,
         })
     }
-}
-
-/// A simplex tableau with its current basis and column layout.
-struct Tableau {
-    /// `m` rows x `(total + 1)` columns (last = rhs).
-    t: Vec<Vec<f64>>,
-    /// Basic column per row.
-    basis: Vec<usize>,
-    /// Structural variable count.
-    n: usize,
-    /// Slack/surplus column count.
-    n_slack: usize,
-    /// Artificial column indices.
-    art_cols: Vec<usize>,
-    /// Total column count (excluding rhs).
-    total: usize,
 }
 
 fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize, total: usize) {
@@ -349,8 +257,9 @@ fn run_simplex_bounded(
             let mut cbj = 0.0;
             for i in 0..m {
                 let cb = obj[basis[i]];
-                // ts-lint: allow(float-ordering) -- exact-zero skip of structurally zero coefficients; any nonzero (even subnormal) must take the multiply path
-                if cb != 0.0 {
+                // Skip structurally zero coefficients (±0 only): any
+                // nonzero, even subnormal, must take the multiply path.
+                if cb.classify() != FpCategory::Zero {
                     cbj += cb * t[i][j];
                 }
             }
@@ -519,85 +428,5 @@ mod tests {
             .expect("12-var box LP with one coupling Le constraint is feasible and bounded");
         assert!(sol.x.iter().all(|&v| (-1e-9..=1.0 + 1e-9).contains(&v)));
         assert!(sol.x.iter().sum::<f64>() <= n as f64 / 2.0 + 1e-6);
-    }
-
-    #[test]
-    fn warm_basis_matches_cold_objective_with_fewer_pivots() {
-        // Solve, perturb the rhs slightly, and re-solve from the prior basis.
-        // The perturbed optimum must match a cold solve; the warm start must
-        // not pivot more than cold does (same basis stays optimal here).
-        let base = LinearProgram::maximize(vec![3.0, 5.0])
-            .constrain(vec![1.0, 0.0], Relation::Le, 4.0)
-            .constrain(vec![0.0, 2.0], Relation::Le, 12.0)
-            .constrain(vec![3.0, 2.0], Relation::Le, 18.0);
-        let cold0 = base
-            .solve()
-            .expect("textbook max 3x+5y over three Le constraints is feasible and bounded");
-
-        let perturbed = LinearProgram::maximize(vec![3.0, 5.0])
-            .constrain(vec![1.0, 0.0], Relation::Le, 4.0)
-            .constrain(vec![0.0, 2.0], Relation::Le, 12.5)
-            .constrain(vec![3.0, 2.0], Relation::Le, 18.5);
-        let cold = perturbed
-            .solve()
-            .expect("rhs-perturbed textbook LP stays feasible and bounded");
-        let warm = perturbed
-            .solve_with_basis(&cold0.basis)
-            .expect("warm re-solve of rhs-perturbed textbook LP succeeds");
-        assert_close(warm.objective, cold.objective);
-        assert!(
-            warm.pivots <= cold.pivots,
-            "warm {} pivots vs cold {}",
-            warm.pivots,
-            cold.pivots
-        );
-    }
-
-    #[test]
-    fn warm_basis_falls_back_on_bad_hints() {
-        let lp = LinearProgram::maximize(vec![1.0, 1.0])
-            .constrain(vec![1.0, 1.0], Relation::Le, 10.0)
-            .constrain(vec![1.0, 0.0], Relation::Ge, 2.0)
-            .constrain(vec![0.0, 1.0], Relation::Eq, 3.0);
-        let cold = lp
-            .solve()
-            .expect("LP with x+y<=10, x>=2, y==3 is feasible (x=7, y=3)");
-        // Wrong length, duplicate columns, and artificial/out-of-range
-        // columns must all quietly fall back to the cold path.
-        for hint in [
-            vec![0usize],
-            vec![0, 0, 1],
-            vec![0, 1, 99],
-            vec![0, 1, 4], // column 4 is artificial (n=2, n_slack=2)
-        ] {
-            let warm = lp
-                .solve_with_basis(&hint)
-                .expect("fallback cold solve succeeds for any hint");
-            assert_close(warm.objective, cold.objective);
-        }
-    }
-
-    #[test]
-    fn warm_basis_falls_back_when_prior_basis_infeasible() {
-        // Prior optimum saturates x <= 8; shrinking the box to x <= 1 makes
-        // that basis primal-infeasible, so the warm path must fall back and
-        // still return the true optimum.
-        let wide = LinearProgram::maximize(vec![1.0])
-            .constrain(vec![1.0], Relation::Le, 8.0)
-            .constrain(vec![1.0], Relation::Ge, 0.5);
-        let prior = wide
-            .solve()
-            .expect("1-var LP with 0.5 <= x <= 8 is feasible");
-        let narrow = LinearProgram::maximize(vec![1.0])
-            .constrain(vec![1.0], Relation::Le, 1.0)
-            .constrain(vec![1.0], Relation::Ge, 0.5);
-        let cold = narrow
-            .solve()
-            .expect("1-var LP with 0.5 <= x <= 1 is feasible");
-        let warm = narrow
-            .solve_with_basis(&prior.basis)
-            .expect("warm re-solve falls back to cold when basis is infeasible");
-        assert_close(warm.objective, cold.objective);
-        assert_close(warm.objective, 1.0);
     }
 }

@@ -39,9 +39,6 @@ impl DamonRegion {
 #[derive(Debug, Clone)]
 pub struct DamonRegions {
     regions: Vec<DamonRegion>,
-    #[allow(dead_code)]
-    // Retained: the kernel re-seeds toward min_regions on address-space growth.
-    min_regions: usize,
     max_regions: usize,
     sampler: Sampler,
     tracker: HotnessTracker,
@@ -92,7 +89,6 @@ impl DamonRegions {
         }
         DamonRegions {
             regions,
-            min_regions,
             max_regions,
             sampler: Sampler::new(sample_period),
             tracker: HotnessTracker::new(cooling),

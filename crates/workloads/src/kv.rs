@@ -31,8 +31,6 @@ pub struct KvStore {
     name: String,
     description: String,
     value_size: usize,
-    #[allow(dead_code)]
-    n_keys: u64,
     index_pages: u64,
     value_pages: u64,
     read_ratio: f64,
@@ -86,7 +84,6 @@ impl KvStore {
                 "KV store: {n_keys} keys x {value_size} B values, {dist:?} popularity"
             ),
             value_size,
-            n_keys,
             index_pages,
             value_pages,
             read_ratio,

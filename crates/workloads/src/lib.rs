@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "hash maps here only count or deduplicate in tests; generators draw from seeded RNGs, never from hash order"
+)]
 
 //! # ts-workloads — workload generators and data synthesizers
 //!

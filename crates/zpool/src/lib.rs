@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "handle and size-class maps are lookup-only and pool stats are scalar counters, so no hash order reaches an artifact"
+)]
 
 //! # ts-zpool — compressed-object pool allocators
 //!

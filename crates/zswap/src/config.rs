@@ -269,7 +269,7 @@ mod tests {
     fn sixty_three_configs() {
         let all = TierConfig::all();
         assert_eq!(all.len(), 63);
-        let set: std::collections::HashSet<_> =
+        let set: std::collections::BTreeSet<_> =
             all.iter().map(|c| (c.algorithm, c.pool, c.media)).collect();
         assert_eq!(set.len(), 63);
     }

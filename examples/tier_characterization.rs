@@ -6,6 +6,11 @@
 //! cargo run --release --example tier_characterization
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this example measures real codec speed on the host by definition"
+)]
+
 use std::sync::Arc;
 use std::time::Instant;
 use tierscape::compress::Algorithm;

@@ -119,7 +119,6 @@ fn run_with_workers(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_with_workers_plan(
     wl: WorkloadId,
     fidelity: Fidelity,
