@@ -100,6 +100,59 @@ fn bench_by_content(c: &mut Criterion) {
     g.finish();
 }
 
+/// Decode cost per content class for the two codecs that share the
+/// canonical-Huffman decoder: the CT-2 fault-in path of `kv-am-real`.
+/// Classes whose page is rejected as incompressible have no stream.
+fn bench_decompress_by_content(c: &mut Criterion) {
+    let mut g = c.benchmark_group("decompress_by_content");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(4096));
+    for algo in [Algorithm::Zstd, Algorithm::Deflate] {
+        let codec = algo.codec();
+        for class in PageClass::ALL {
+            let mut stream = Vec::new();
+            if codec.compress(&page(class), &mut stream).is_err() {
+                continue;
+            }
+            g.bench_with_input(
+                BenchmarkId::new(algo.name(), format!("{class:?}")),
+                &stream,
+                |b, stream| {
+                    b.iter(|| {
+                        let mut out = Vec::with_capacity(4096);
+                        codec
+                            .decompress(black_box(stream), &mut out)
+                            .expect("valid stream");
+                        black_box(out)
+                    })
+                },
+            );
+        }
+    }
+    g.finish();
+}
+
+/// Harness time, not the system under study: synthesizing one page of
+/// each content class, which the simulator does before every real-fidelity
+/// store because page content is regenerated rather than kept.
+fn bench_fill_page_by_class(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fill_page_by_class");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(4096));
+    for class in PageClass::ALL {
+        let mut buf = vec![0u8; 4096];
+        let mut index = 0u64;
+        g.bench_function(BenchmarkId::from_parameter(format!("{class:?}")), |b| {
+            b.iter(|| {
+                index += 1;
+                class.fill(42, black_box(index), &mut buf);
+                black_box(&buf);
+            })
+        });
+    }
+    g.finish();
+}
+
 /// 16 memcached-ycsb pages spread over the RSS: the CT-1/CT-2 store and
 /// fault-in path of the `kv-am-real` daemon benchmark, one page at a time.
 fn bench_workload_pages(c: &mut Criterion) {
@@ -156,6 +209,7 @@ fn bench_workload_pages(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_compress, bench_decompress, bench_by_content, bench_workload_pages
+    targets = bench_compress, bench_decompress, bench_by_content, bench_decompress_by_content,
+        bench_fill_page_by_class, bench_workload_pages
 }
 criterion_main!(benches);

@@ -85,20 +85,46 @@ impl<'a> BitReader<'a> {
     /// Top up `acc` to at least 56 valid bits, or to the end of the input.
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
-            // Whole-word load; only the bytes that fit completely count.
-            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-            self.acc |= word << self.nbits;
-            let n = (63 - self.nbits) / 8;
-            self.pos += n as usize;
-            self.nbits += n * 8;
-        } else {
+        if !self.refill_word() {
             while self.nbits <= 56 && self.pos < self.buf.len() {
                 self.acc |= (self.buf[self.pos] as u64) << self.nbits;
                 self.pos += 1;
                 self.nbits += 8;
             }
         }
+    }
+
+    /// Top up to at least 56 buffered bits with one whole-word load, if at
+    /// least eight unread input bytes remain; returns whether it did. A
+    /// `true` return guarantees [`BitReader::bits`] holds 56 valid bits.
+    #[inline]
+    pub(crate) fn refill_word(&mut self) -> bool {
+        let Some(word) = self.buf.get(self.pos..self.pos + 8) else {
+            return false;
+        };
+        // Only the bytes that fit completely count.
+        let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        self.acc |= word << self.nbits;
+        let n = (63 - self.nbits) / 8;
+        self.pos += n as usize;
+        self.nbits += n * 8;
+        true
+    }
+
+    /// The buffered bits, next bit lowest. Only as many low bits are valid
+    /// as the last refill guaranteed minus those skipped since.
+    #[inline]
+    pub(crate) fn bits(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drop `count` buffered bits; the caller knows that many are buffered
+    /// (after a `true` [`BitReader::refill_word`], up to 56 in total).
+    #[inline]
+    pub(crate) fn skip(&mut self, count: u32) {
+        debug_assert!(count <= self.nbits);
+        self.acc >>= count;
+        self.nbits -= count;
     }
 
     /// Read `count` bits (LSB-first). `count` must be <= 32.

@@ -272,8 +272,12 @@ pub(crate) fn decode_stream(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
             "deflate: output longer than stream allows",
         ));
     }
-    let lit_dec = Decoder::from_lengths(&lit_lens)?;
-    let dist_dec = Decoder::from_lengths(&dist_lens)?;
+    let lit_dec = Decoder::with_extra_bits(&lit_lens, |sym| {
+        sym.checked_sub(257)
+            .and_then(|i| LEN_TABLE.get(i))
+            .map_or(0, |&(_, extra)| extra)
+    })?;
+    let dist_dec = Decoder::with_extra_bits(&dist_lens, |sym| DIST_TABLE[sym].1)?;
     let start = dst.len();
     dst.resize(start + out_len as usize, 0);
     let res = decode_symbols(
@@ -288,7 +292,26 @@ pub(crate) fn decode_stream(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
     res
 }
 
+/// Output bytes the fast loop of [`decode_symbols`] needs left: one
+/// literal, then a 258-byte match whose 8-byte chunk copies overshoot its
+/// end by up to 7 bytes.
+const FAST_OUT_MARGIN: usize = 1 + 258 + 7;
+
+/// Smallest multiple of each distance 2..=7 that is at least 8: an
+/// overlapping match repeats its last `dist` bytes, so it can copy 8-byte
+/// chunks from that far back once the first 8 bytes are out.
+const OVERLAP_STRIDE: [usize; 8] = [0, 8, 8, 9, 8, 10, 12, 14];
+
 /// The symbol loop of [`decode_stream`]: fill `out` exactly.
+///
+/// A fast loop runs while the reader can refill a whole word and at least
+/// [`FAST_OUT_MARGIN`] output bytes remain. One refill buffers 56 bits,
+/// enough for the longest token a literal can precede (12 + 12 + 5 + 12 +
+/// 13 = 54 bits), so the loop decodes up to two literals, or a literal and
+/// a match, per refill without a `Result` per field, and copies matches in
+/// fixed 8-byte chunks. Every check it drops is one the margin makes
+/// impossible; the checks it keeps fail exactly where [`decode_tail`]'s
+/// would. The tail loop finishes the stream.
 fn decode_symbols(
     r: &mut BitReader<'_>,
     lit_dec: &Decoder,
@@ -296,6 +319,57 @@ fn decode_symbols(
     out: &mut [u8],
 ) -> Result<usize> {
     let mut o = 0usize;
+    while out.len() - o >= FAST_OUT_MARGIN && r.refill_word() {
+        let mut bits = r.bits();
+        let mut entry = lit_dec.entry(bits);
+        if !entry.is_code() {
+            return Err(CodecError::Corrupt("invalid Huffman code"));
+        }
+        r.skip(entry.field_len());
+        if entry.symbol() < 256 {
+            out[o] = entry.symbol() as u8;
+            o += 1;
+            bits = r.bits();
+            entry = lit_dec.entry(bits);
+            if !entry.is_code() {
+                return Err(CodecError::Corrupt("invalid Huffman code"));
+            }
+            r.skip(entry.field_len());
+            if entry.symbol() < 256 {
+                out[o] = entry.symbol() as u8;
+                o += 1;
+                continue;
+            }
+        }
+        if entry.symbol() == EOB {
+            return finish(o, out.len());
+        }
+        let len = LEN_TABLE[entry.symbol() - 257].0 as usize + entry.extra(bits) as usize;
+        bits = r.bits();
+        entry = dist_dec.entry(bits);
+        if !entry.is_code() {
+            return Err(CodecError::Corrupt("invalid Huffman code"));
+        }
+        r.skip(entry.field_len());
+        let dist = DIST_TABLE[entry.symbol()].0 as usize + entry.extra(bits) as usize;
+        if dist > o {
+            return Err(CodecError::Corrupt("deflate: distance out of range"));
+        }
+        copy_match(out, o, dist, len);
+        o += len;
+    }
+    decode_tail(r, lit_dec, dist_dec, out, o)
+}
+
+/// The checked loop that ends [`decode_symbols`]: decode from output
+/// offset `o` to the end of block, one field at a time.
+fn decode_tail(
+    r: &mut BitReader<'_>,
+    lit_dec: &Decoder,
+    dist_dec: &Decoder,
+    out: &mut [u8],
+    mut o: usize,
+) -> Result<usize> {
     loop {
         let sym = lit_dec.decode(r)? as usize;
         if sym < 256 {
@@ -305,7 +379,7 @@ fn decode_symbols(
             continue;
         }
         if sym == EOB {
-            break;
+            return finish(o, out.len());
         }
         let (base, extra) = *LEN_TABLE
             .get(sym - 257)
@@ -322,27 +396,51 @@ fn decode_symbols(
         if len > out.len() - o {
             return Err(CodecError::Corrupt("deflate: output longer than header"));
         }
-        if dist >= 8 && o + len + 8 <= out.len() {
-            // 8-byte chunks may overshoot `len`; later output overwrites
-            // the excess, and `dist >= 8` keeps every read behind the write.
-            let mut i = o;
-            while i < o + len {
-                let chunk: [u8; 8] = out[i - dist..i - dist + 8].try_into().expect("8 bytes");
-                out[i..i + 8].copy_from_slice(&chunk);
-                i += 8;
-            }
-        } else if dist >= len {
-            out.copy_within(o - dist..o - dist + len, o);
-        } else {
-            // Overlapping (run-style) copy: each byte reads one written
-            // `dist` earlier in this same copy.
-            for i in o..o + len {
-                out[i] = out[i - dist];
-            }
-        }
+        copy_match(out, o, dist, len);
         o += len;
     }
-    if o != out.len() {
+}
+
+/// Copy the `len`-byte match at distance `dist` (1 <= `dist` <= `o`) to
+/// `out[o..o + len]`, which must lie inside `out`.
+#[inline]
+fn copy_match(out: &mut [u8], o: usize, dist: usize, len: usize) {
+    if dist == 1 {
+        // A run of the previous byte.
+        let b = out[o - 1];
+        out[o..o + len].fill(b);
+    } else if o + len + 7 <= out.len() {
+        // 8-byte chunks, which may overshoot `len` by up to 7 bytes; later
+        // output overwrites the excess. Every chunk reads at least 8 bytes
+        // behind its write: `dist` itself, or for a shorter, overlapping
+        // distance a multiple of it once the first 8 bytes are out.
+        let (mut i, back) = if dist >= 8 {
+            (o, dist)
+        } else {
+            for k in o..o + 8 {
+                out[k] = out[k - dist];
+            }
+            (o + 8, OVERLAP_STRIDE[dist])
+        };
+        while i < o + len {
+            let chunk: [u8; 8] = out[i - back..i - back + 8].try_into().expect("8 bytes");
+            out[i..i + 8].copy_from_slice(&chunk);
+            i += 8;
+        }
+    } else if dist >= len {
+        out.copy_within(o - dist..o - dist + len, o);
+    } else {
+        // Overlapping (run-style) copy: each byte reads one written `dist`
+        // earlier in this same copy.
+        for i in o..o + len {
+            out[i] = out[i - dist];
+        }
+    }
+}
+
+/// End of block at output offset `o`: the header's length must be met.
+fn finish(o: usize, out_len: usize) -> Result<usize> {
+    if o != out_len {
         return Err(CodecError::Corrupt("deflate: output length mismatch"));
     }
     Ok(o)

@@ -160,65 +160,155 @@ pub fn canonical_codes(lens: &[u32]) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// One [`Decoder`] table slot: a symbol, its code length and the number
+/// of raw extra bits that follow its code.
+///
+/// Layout: bits 0..8 hold code length + extra bits, 8..12 the code length
+/// and 16..32 the symbol; 0 marks a bit pattern no code matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Entry(u32);
+
+impl Entry {
+    /// Whether a code matches (the slot is in use).
+    #[inline]
+    pub(crate) fn is_code(self) -> bool {
+        self.0 != 0
+    }
+
+    /// The decoded symbol.
+    #[inline]
+    pub(crate) fn symbol(self) -> usize {
+        (self.0 >> 16) as usize
+    }
+
+    /// Length of the symbol's code in bits.
+    #[inline]
+    pub(crate) fn code_len(self) -> u32 {
+        self.0 >> 8 & 0xf
+    }
+
+    /// Code length plus extra bits: what the whole field consumes.
+    #[inline]
+    pub(crate) fn field_len(self) -> u32 {
+        self.0 & 0xff
+    }
+
+    /// The field's extra-bits value, read from `bits` (next bit lowest)
+    /// as they were before the field was consumed.
+    #[inline]
+    pub(crate) fn extra(self, bits: u64) -> u64 {
+        bits >> self.code_len() & ((1 << (self.field_len() - self.code_len())) - 1)
+    }
+}
+
 /// Table-driven canonical Huffman decoder.
 #[derive(Debug)]
 pub struct Decoder {
-    /// `table[peeked_bits] = symbol << 4 | code_len`, 0 for an unused code;
-    /// index width = `max_len`.
-    table: Vec<u16>,
+    /// `table[next max_len bits]` is the entry of the code those bits
+    /// start with (a code of length `l` repeats every `2^l` entries).
+    table: Vec<Entry>,
     max_len: u32,
 }
 
 impl Decoder {
-    /// Build a decoder from code lengths.
+    /// Build a decoder from code lengths, for symbols without extra bits.
+    ///
+    /// # Errors
+    ///
+    /// See [`Decoder::with_extra_bits`].
+    pub fn from_lengths(lens: &[u32]) -> Result<Decoder> {
+        Self::with_extra_bits(lens, |_| 0)
+    }
+
+    /// Build a decoder from code lengths; `extra_bits(sym)` (at most 32)
+    /// raw bits follow the code of `sym` in the stream.
+    ///
+    /// The table is built libdeflate-style: symbols are taken in canonical
+    /// order (by length, then symbol), and before the codes of length `l`
+    /// are written the filled `2^(l-1)`-entry prefix is doubled, which
+    /// replicates every shorter code into the new half. Each symbol is then
+    /// written once, at its bit-reversed code.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Corrupt`] if the lengths do not describe a
     /// prefix-valid (possibly incomplete) code, exceed [`MAX_CODE_LEN`], or
     /// the alphabet has more than 4096 symbols.
-    pub fn from_lengths(lens: &[u32]) -> Result<Decoder> {
-        let max_len = lens.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Ok(Decoder {
-                table: Vec::new(),
-                max_len: 0,
-            });
+    pub(crate) fn with_extra_bits(
+        lens: &[u32],
+        extra_bits: impl Fn(usize) -> u32,
+    ) -> Result<Decoder> {
+        // Histogram the lengths (lengths above 15 share bin 15). Four
+        // interleaved histograms keep runs of equal lengths from waiting
+        // on one counter.
+        let mut hist = [[0usize; 16]; 4];
+        let mut quads = lens.chunks_exact(4);
+        for q in &mut quads {
+            for (h, &l) in hist.iter_mut().zip(q) {
+                h[(l as usize).min(15)] += 1;
+            }
         }
+        for &l in quads.remainder() {
+            hist[0][(l as usize).min(15)] += 1;
+        }
+        let count: [usize; 16] = std::array::from_fn(|l| hist.iter().map(|h| h[l]).sum());
+        let max_len = (1..16).rev().find(|&l| count[l] > 0).unwrap_or(0) as u32;
         if max_len > MAX_CODE_LEN {
             return Err(CodecError::Corrupt("code length exceeds limit"));
         }
-        if lens.len() > 1 << 12 {
+        if max_len > 0 && lens.len() > 1 << MAX_CODE_LEN {
             return Err(CodecError::Corrupt("alphabet too large"));
         }
         // Kraft check: reject over-subscribed codes.
-        let unit = 1u64 << max_len;
-        let used: u64 = lens.iter().filter(|&&l| l > 0).map(|&l| unit >> l).sum();
-        if used > unit {
+        let used: usize = (1..=MAX_CODE_LEN as usize)
+            .map(|l| count[l] << (MAX_CODE_LEN as usize - l))
+            .sum();
+        if used > 1 << MAX_CODE_LEN {
             return Err(CodecError::Corrupt("over-subscribed Huffman code"));
         }
-        let mut next_code = first_codes(lens);
-        let mut table = vec![0u16; 1usize << max_len];
-        for (sym, &len) in lens.iter().enumerate() {
-            if len == 0 {
-                continue;
+        // Counting sort of the present symbols into canonical order;
+        // `end[l]` ends length `l`'s run (`end[0]` = 0).
+        let mut end = [0usize; MAX_CODE_LEN as usize + 1];
+        for l in 1..end.len() {
+            end[l] = end[l - 1] + count[l];
+        }
+        // `at[l]`: where the next symbol of length `l` goes.
+        let mut at = [0usize; MAX_CODE_LEN as usize + 1];
+        at[1..].copy_from_slice(&end[..MAX_CODE_LEN as usize]);
+        let mut sorted = vec![0u16; end[MAX_CODE_LEN as usize]];
+        for (sym, &l) in lens.iter().enumerate() {
+            if l != 0 {
+                sorted[at[l as usize]] = sym as u16;
+                at[l as usize] += 1;
             }
-            let code = next_code[len as usize];
-            next_code[len as usize] += 1;
-            // The bitstream is LSB-first with codes written bit-reversed, so
-            // the table is indexed by the reversed code with all possible
-            // suffixes.
-            let entry = (sym as u16) << 4 | len as u16;
-            let mut i = crate::bitio::reverse_bits(code, len) as usize;
-            while i < table.len() {
-                table[i] = entry;
-                i += 1 << len;
+        }
+        let mut table = Vec::with_capacity(1 << max_len);
+        table.push(Entry(0));
+        let mut code = 0u32;
+        for len in 1..=max_len {
+            table.extend_from_within(..);
+            code <<= 1;
+            for &sym in &sorted[end[len as usize - 1]..end[len as usize]] {
+                let field = len + extra_bits(sym as usize);
+                // The bitstream is LSB-first with codes written bit-reversed.
+                table[crate::bitio::reverse_bits(code, len) as usize] =
+                    Entry((sym as u32) << 16 | len << 8 | field);
+                code += 1;
             }
         }
         Ok(Decoder { table, max_len })
     }
 
-    /// Decode one symbol from `reader`.
+    /// The entry for the code at the front of `bits` (next bit lowest).
+    /// The caller must know the low [`MAX_CODE_LEN`] bits hold real input;
+    /// [`Decoder::decode`] is the checked form.
+    #[inline]
+    pub(crate) fn entry(&self, bits: u64) -> Entry {
+        self.table[bits as usize & (self.table.len() - 1)]
+    }
+
+    /// Decode one symbol from `reader`, consuming its code but not its
+    /// extra bits.
     ///
     /// # Errors
     ///
@@ -228,12 +318,13 @@ impl Decoder {
         if self.max_len == 0 {
             return Err(CodecError::Corrupt("empty Huffman table"));
         }
+        // Missing trailing bits peek as zero.
         let entry = self.table[reader.peek_bits(self.max_len) as usize];
-        if entry == 0 {
+        if !entry.is_code() {
             return Err(CodecError::Corrupt("invalid Huffman code"));
         }
-        reader.consume((entry & 0xf) as u32)?;
-        Ok(entry >> 4)
+        reader.consume(entry.code_len())?;
+        Ok(entry.symbol() as u16)
     }
 }
 
@@ -321,9 +412,9 @@ pub fn read_lengths(src: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
         let l = (byte >> 4) as u32;
         let mut run = (byte & 0xf) as usize;
         if run == 15 {
-            run = 15 + crate::bitio::read_varint(src, pos)? as usize;
+            run = (crate::bitio::read_varint(src, pos)? as usize).saturating_add(15);
         }
-        if lens.len() + run > count {
+        if run > count - lens.len() {
             return Err(CodecError::Corrupt("length run overflows alphabet"));
         }
         lens.extend(std::iter::repeat_n(l, run));
@@ -477,6 +568,16 @@ mod tests {
         let restored = read_lengths(&buf, &mut pos).unwrap();
         assert_eq!(restored, lens);
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn huge_length_run_is_an_error() {
+        // Length 1, run 15 + a varint of u64::MAX: the sum must not wrap.
+        let mut buf = Vec::new();
+        crate::bitio::write_varint(&mut buf, 4);
+        buf.push(0x1f);
+        crate::bitio::write_varint(&mut buf, u64::MAX);
+        assert!(read_lengths(&buf, &mut 0).is_err());
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! [`crate::deflate`] (see `deflate::encode_tokens`) but parses with a much
 //! shallower hash chain (8 probes against deflate's 64) and no lazy
 //! evaluation. Measured by the daemon benchmark's isolated replay
-//! (`--trace 1`) on `kv-am-real`'s memcached-ycsb pages, on a 2-vCPU x86-64
-//! host: compression costs about 99 µs per 4 KiB page against deflate's
-//! 146 µs (about 1.5x faster), decompression about 33 µs for both (the
-//! same decoder), and the ratio is 2.73x against deflate's 2.79x. That is
-//! the niche zstd occupies for the TMO-style CT-2 tier in the paper.
+//! (`--trace 1`, seed 5) on `kv-am-real`'s memcached-ycsb pages, on a
+//! 2-vCPU x86-64 host (medians of three runs): compression costs about
+//! 94 µs per 4 KiB page against deflate's 126–138 µs (about 1.4x faster),
+//! decompression about 24 µs for both (the same decoder, DESIGN §5h), and
+//! the ratio is 2.72x against deflate's 2.78x. That is the niche zstd
+//! occupies for the TMO-style CT-2 tier in the paper.
 
 use crate::deflate::{decode_stream, encode_tokens};
 use crate::lz77::tokenize;

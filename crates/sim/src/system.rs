@@ -8,6 +8,7 @@
 use crate::calib::Calibration;
 use crate::histogram::LatencyHistogram;
 use crate::{Fidelity, Placement, SimConfig, SimError, SimResult};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use ts_faults::{FaultCounters, FaultPlan, FaultSite, TierError};
 use ts_mem::{Machine, MediaKind, MediaSpec, PAGE_SIZE};
@@ -853,12 +854,9 @@ impl TieredSystem {
         if let Some(slot) = slot {
             // Real fidelity: the bytes really come off the device.
             let bytes = self.swap.read(slot).expect("slot is live");
-            let mut out = Vec::with_capacity(PAGE_SIZE);
-            self.cfg.compressed_tiers[origin_tier]
-                .algorithm
-                .codec()
-                .decompress(&bytes, &mut out)
-                .expect("swap holds valid compressed data");
+            let codec = self.cfg.compressed_tiers[origin_tier].algorithm.codec();
+            ts_zswap::decode_page(codec.as_ref(), &bytes, PAGE_SIZE)
+                .expect("swap holds a whole page compressed by its origin tier");
         }
         self.swap_pages -= 1;
         self.swap_bytes -= comp_len as u64;
@@ -1534,12 +1532,16 @@ impl TieredSystem {
         }
     }
 
-    /// Prepare one chunk of batched pages, split over `workers` contiguous
-    /// slices. Results come back in job order, each with the host
-    /// nanoseconds its prepare took.
+    /// Prepare one chunk of batched pages on up to `workers` threads, the
+    /// calling thread included. Each thread claims the next unprepared job
+    /// from one shared counter until none is left, so a thread that drew
+    /// cheap jobs (a same-algorithm copy costs ~1 µs, a fill and deflate
+    /// ~150 µs) takes more of them instead of idling at the join. Results
+    /// are merged back into job order, each with the host nanoseconds its
+    /// prepare took.
     #[expect(
         clippy::disallowed_methods,
-        reason = "the one place threads are created: a slice's prepare is pure and results merge in job order"
+        reason = "the one place threads are created: a job's prepare is pure and results merge in job order"
     )]
     fn prepare_chunk(
         &self,
@@ -1551,34 +1553,40 @@ impl TieredSystem {
             .as_ref()
             .expect("batched pages imply Real fidelity");
         let (ids, wl) = (&self.zswap_ids[..], self.workload.as_ref());
-        let run = |slice: &[(u64, Residency, Placement)]| {
+        // The counter only hands out job indices; each result travels back
+        // through its thread's join, so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        let run = || {
             let mut scratch = vec![0u8; PAGE_SIZE];
-            slice
-                .iter()
-                .map(|&job| {
-                    let timer = SpanTimer::new();
-                    let prepared = prepare(z, ids, wl, job, &mut scratch);
-                    (prepared, timer.elapsed_ns())
-                })
-                .collect::<Vec<_>>()
-        };
-        if workers == 1 || jobs.len() < 2 {
-            return run(jobs);
-        }
-        // The calling thread prepares the first slice itself.
-        let (first, rest) = jobs.split_at(jobs.len().div_ceil(workers));
-        let run = &run;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .chunks(first.len())
-                .map(|slice| scope.spawn(move || run(slice)))
-                .collect();
-            let mut prepared = run(first);
-            for h in handles {
-                prepared.extend(h.join().expect("prepare worker panicked"));
+            let mut claimed = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&job) = jobs.get(i) else {
+                    return claimed;
+                };
+                let timer = SpanTimer::new();
+                let prepared = prepare(z, ids, wl, job, &mut scratch);
+                claimed.push((i, prepared, timer.elapsed_ns()));
             }
-            prepared
-        })
+        };
+        let mut claimed = if workers == 1 || jobs.len() < 2 {
+            run()
+        } else {
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..workers.min(jobs.len()))
+                    .map(|_| scope.spawn(run))
+                    .collect();
+                let mut claimed = run();
+                for h in handles {
+                    claimed.extend(h.join().expect("prepare worker panicked"));
+                }
+                claimed
+            })
+        };
+        claimed.sort_unstable_by_key(|&(i, ..)| i);
+        debug_assert!(claimed.iter().enumerate().all(|(k, &(i, ..))| k == i));
+        claimed.into_iter().map(|(_, p, ns)| (p, ns)).collect()
     }
 
     /// Invalidate the destination copy a stale batched page's insert left

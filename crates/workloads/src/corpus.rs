@@ -106,6 +106,31 @@ pub fn fill_nci_like(seed: u64, index: u64, buf: &mut [u8]) {
     }
 }
 
+/// Draws of [`fill_dickens_like`]'s Zipf-ish word pick: word `w` of 64 has
+/// weight `64 - w`, and the weights sum to this.
+const ZIPF_DRAWS: usize = 64 * 65 / 2;
+
+/// The word each Zipf draw `r < ZIPF_DRAWS` picks: the first `w` whose
+/// cumulative weight exceeds `r`. Built by the walk it replaces, so the
+/// text is byte-identical to walking the weights per word.
+const ZIPF_WORD: [u8; ZIPF_DRAWS] = {
+    let mut t = [0u8; ZIPF_DRAWS];
+    let mut r = 0;
+    while r < ZIPF_DRAWS {
+        let mut w = 0;
+        let mut acc = 64;
+        let mut weight = 64;
+        while acc <= r && weight > 1 {
+            weight -= 1;
+            acc += weight;
+            w += 1;
+        }
+        t[r] = w;
+        r += 1;
+    }
+    t
+};
+
 /// English-prose-like text (dickens analogue): Zipf-weighted word soup with
 /// sentence and paragraph structure.
 pub fn fill_dickens_like(seed: u64, index: u64, buf: &mut [u8]) {
@@ -123,16 +148,7 @@ pub fn fill_dickens_like(seed: u64, index: u64, buf: &mut [u8]) {
     let mut capitalize = true;
     while pos < buf.len() {
         // Zipf-ish pick: prefer low indices.
-        let r = rng.below(64 * 65 / 2);
-        let mut w = 0usize;
-        let mut acc = 64usize;
-        let mut weight = 64usize;
-        while acc <= r && weight > 1 {
-            weight -= 1;
-            acc += weight;
-            w += 1;
-        }
-        let word = WORDS[w.min(63)].as_bytes();
+        let word = WORDS[ZIPF_WORD[rng.below(ZIPF_DRAWS)] as usize].as_bytes();
         let n = word.len().min(buf.len() - pos);
         buf[pos..pos + n].copy_from_slice(&word[..n]);
         if capitalize && n > 0 {

@@ -49,7 +49,7 @@ pub mod writeback;
 pub use config::{
     algo_compress_ns, algo_decompress_ns, algo_nominal_ratio, media_factor, TierConfig,
 };
-pub use tier::{Compressed, CompressedTier, StoredPage, TierId, TierStats};
+pub use tier::{decode_page, Compressed, CompressedTier, StoredPage, TierId, TierStats};
 pub use writeback::{SwapDevice, SwapSlot, WritebackEvent, WritebackQueue};
 
 use std::sync::Arc;
@@ -626,6 +626,10 @@ mod tests {
         // The exact length still loads.
         let ok = z.store(id, &page(3)).unwrap();
         assert_eq!(z.load(id, ok).unwrap(), page(3));
+        // The swap-in path decodes through the same check.
+        let lzo = Algorithm::Lzo.codec();
+        assert!(decode_page(lzo.as_ref(), &stream, 4096).is_err());
+        assert_eq!(decode_page(lzo.as_ref(), &stream, 4104).unwrap(), long);
     }
 
     #[test]

@@ -68,6 +68,31 @@ fn same_filled_value(page: &[u8]) -> Option<u8> {
     page.iter().all(|&b| b == first).then_some(first)
 }
 
+/// Decode one compressed page with `codec`. The fault path of a tier and
+/// the swap-in path share it: a stream that decodes to any length other
+/// than `original_len` is corrupt too.
+///
+/// # Errors
+///
+/// [`ZswapError::Codec`] if the stream fails to decode or decodes to the
+/// wrong length.
+pub fn decode_page(
+    codec: &dyn Codec,
+    compressed: &[u8],
+    original_len: usize,
+) -> ZswapResult<Vec<u8>> {
+    let mut page = Vec::with_capacity(original_len);
+    codec
+        .decompress(compressed, &mut page)
+        .map_err(ZswapError::Codec)?;
+    if page.len() != original_len {
+        return Err(ZswapError::Codec(CodecError::Corrupt(
+            "decoded length differs from the stored page's",
+        )));
+    }
+    Ok(page)
+}
+
 /// The pure half of a store: [`CompressedTier::compress`] output, consumed
 /// by [`CompressedTier::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -264,16 +289,7 @@ impl CompressedTier {
             return Ok(vec![v; stored.original_len]);
         }
         let compressed = self.peek_compressed(stored)?;
-        let mut page = Vec::with_capacity(stored.original_len);
-        self.codec
-            .decompress(&compressed, &mut page)
-            .map_err(ZswapError::Codec)?;
-        if page.len() != stored.original_len {
-            return Err(ZswapError::Codec(CodecError::Corrupt(
-                "decoded length differs from the stored page's",
-            )));
-        }
-        Ok(page)
+        decode_page(self.codec.as_ref(), &compressed, stored.original_len)
     }
 
     /// Read the raw compressed bytes without decompressing or invalidating

@@ -536,3 +536,51 @@ fn real_fidelity_identical_at_node_capacity_edge() {
         assert_eq!(base_snap, snap, "{label}: metrics artifact diverged");
     }
 }
+
+#[test]
+fn spectrum_waterfall_real_identical_across_worker_counts() {
+    // Five compressed tiers (lz4, lz4, lz4, lzo, deflate) under the
+    // waterfall model in Real fidelity, with 64 KiB regions so that pages
+    // sit at every depth at once. A window's plan then batches toward
+    // several tiers, and the engine's prepare chunks mix same-algorithm lz4
+    // copies (~1 µs each) with lzo-to-deflate recompressions (~100 µs).
+    // Threads claim those jobs in a different order on every run and at
+    // every worker count; the merged results must still come back in job
+    // order, so the report and the metrics are bit-identical.
+    let run = |workers: usize| {
+        let w = WorkloadId::MemcachedMemtier4k.build(Scale::TEST, 5);
+        let mut cfg = SimConfig::spectrum(w.rss_bytes(), Fidelity::Real, 5);
+        cfg.region_shift = 16;
+        let mut system = TieredSystem::new(cfg, w).expect("spectrum is valid");
+        let cfg = DaemonConfig {
+            windows: 8,
+            window_accesses: 10_000,
+            migration_workers: workers,
+            obs: ObsConfig::enabled(),
+            ..DaemonConfig::default()
+        };
+        run_daemon(&mut system, &mut WaterfallModel::new(25.0), &cfg)
+    };
+    let base = run(1);
+    let obs = base.obs.as_ref().expect("obs enabled");
+    let mixed = (1..=8).any(|window| {
+        let batch_to = |scope: &str| {
+            obs.spans()
+                .iter()
+                .any(|s| s.window == window && s.name == "migrate.batch" && s.scope == scope)
+        };
+        (batch_to("CT1") || batch_to("CT2")) && batch_to("CT4")
+    });
+    assert!(
+        mixed,
+        "some window must batch both lz4 fast-path copies and deflate recompressions"
+    );
+    let base_snap = obs.snapshot_json();
+    for workers in [2, 8] {
+        let other = run(workers);
+        let label = format!("spectrum waterfall workers=1 vs {workers}");
+        assert_identical(&base, &other, &label);
+        let snap = other.obs.as_ref().expect("obs enabled").snapshot_json();
+        assert_eq!(base_snap, snap, "{label}: metrics artifact diverged");
+    }
+}
